@@ -2,11 +2,11 @@
 
 ``repro analyze`` enforces the contracts the byte-equivalence suites only
 catch after the fact: determinism (no hidden clocks or entropy), the
-Markov-model version-bump contract, cache-invalidation pairing,
-cross-process hygiene of the sharded backend, and ``to_dict``/``from_dict``
-serialization parity.  See :mod:`repro.analysis.contracts` for the
-registries the rules are parameterized by and
-:mod:`repro.analysis.rules` for the rule implementations.
+Markov-model version-bump contract, cache-invalidation pairing, and
+``to_dict``/``from_dict`` serialization parity.  See
+:mod:`repro.analysis.contracts` for the registries the rules are
+parameterized by and :mod:`repro.analysis.rules` for the rule
+implementations.
 """
 
 from .core import (

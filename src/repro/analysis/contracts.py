@@ -14,9 +14,6 @@ contracts that previously lived only in docstrings and reviewers' heads:
   the §6.3 estimate cache and compiled walks validate against);
 * the cache-invalidation contract (derived caches are cleared through
   their named contract methods, never by reaching into private dicts);
-* the cross-process contract (worker processes of the sharded backend are
-  pure executors — no clock, no RNG, no scheduler — and the pipe protocol
-  speaks named tags from one shared module);
 * the serialization contract (``to_dict`` output round-trips through
   ``from_dict``).
 """
@@ -88,7 +85,7 @@ CACHE_FEEDING_SUFFIX = "_ms"
 #: the message names the contract method(s) to use instead.
 PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     # attribute -> (owner class, contract methods to use instead)
-    "_entries": ("EstimateCache", "lookup()/peek()/store()/invalidate()/invalidate_procedure()"),
+    "_entries": ("EstimateCache", "lookup()/store()/invalidate()/invalidate_procedure()"),
     "_schedule_cache": ("CostModel", "assign the *_ms field or call clear_schedule_cache()"),
     "_walk_tables": ("PathEstimator", "walk_record()/clear_walk_records()/drop_walk_records()"),
     # Self-tuning (hot model swap) contract surfaces: the provider's model
@@ -113,54 +110,6 @@ PROTECTED_CACHES: dict[str, tuple[str, str]] = {
     "_successor_index": ("MarkovModel", "probe_successor()/process()"),
     "_successor_groups": ("MarkovModel", "successor_groups()/process()"),
 }
-
-# ----------------------------------------------------------------------
-# process-hygiene
-# ----------------------------------------------------------------------
-#: Module path suffixes (posix, relative) of worker-side code.  Workers
-#: are pure executors: importing coordinator-only subsystems — or any
-#: clock/entropy module — from one of these is a violation.
-WORKER_MODULE_SUFFIXES: tuple[str, ...] = ("sim/backend/worker.py",)
-
-#: Import prefixes only the coordinator may use (scheduler, admission,
-#: workload/RNG, metrics, the event loop and strategy state).
-COORDINATOR_ONLY_IMPORTS: tuple[str, ...] = (
-    "repro.scheduling",
-    "repro.tenancy",
-    "repro.workload",
-    "repro.houdini",
-    "repro.strategies",
-    "repro.sim.events",
-    "repro.sim.simulator",
-    "repro.sim.metrics",
-    "repro.sim.sketch",
-)
-
-#: Absolute modules banned outright in worker-side code (clocks, entropy).
-WORKER_BANNED_MODULES: tuple[str, ...] = (
-    "time",
-    "random",
-    "uuid",
-    "secrets",
-    "datetime",
-)
-
-#: Modules that speak the sharded backend's pipe protocol.  Inside them,
-#: short string literals (the message/report tags) must be named constants
-#: imported from the protocol module — an inline ``"d"`` in one peer can
-#: silently disagree with the other's.
-PROTOCOL_SPEAKER_SUFFIXES: tuple[str, ...] = (
-    "sim/backend/sharded.py",
-    "sim/backend/worker.py",
-)
-
-#: The single module allowed to *define* protocol tags.  Its module-level
-#: constants must be pairwise distinct within each direction of the pipe.
-PROTOCOL_DEF_SUFFIX = "sim/backend/protocol.py"
-
-#: Maximum length of a string literal treated as a protocol tag inside a
-#: speaker module (tags are 1-3 chars; real prose is longer).
-PROTOCOL_TAG_MAX_LEN = 3
 
 # ----------------------------------------------------------------------
 # serialization

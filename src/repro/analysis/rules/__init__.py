@@ -11,7 +11,6 @@ from __future__ import annotations
 from ..core import AnalysisError, Rule
 from .determinism import DeterminismRule
 from .invalidation import CachePokeRule
-from .process_hygiene import ProcessHygieneRule
 from .serialization import SerializationRule
 from .versioning import VersionBumpRule
 
@@ -19,7 +18,6 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     DeterminismRule,
     VersionBumpRule,
     CachePokeRule,
-    ProcessHygieneRule,
     SerializationRule,
 )
 
@@ -51,6 +49,5 @@ __all__ = [
     "DeterminismRule",
     "VersionBumpRule",
     "CachePokeRule",
-    "ProcessHygieneRule",
     "SerializationRule",
 ]

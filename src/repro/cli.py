@@ -125,15 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay time rescale for --workload (2.0 = twice as fast)",
     )
     simulate.add_argument(
-        "--backend", choices=("inline", "sharded"), default="inline",
-        help="execution backend: 'sharded' runs partition workers over OS "
-        "processes (same simulated results, higher wall-clock throughput)",
-    )
-    simulate.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes for --backend sharded",
-    )
-    simulate.add_argument(
         "--json", action="store_true",
         help="print the full SimulationResult as a stable JSON document",
     )
@@ -163,10 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--partitions", type=int, default=8)
     serve.add_argument("--trace", type=int, default=2000)
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--backend", choices=("inline", "sharded"), default="inline",
-                       help="execution backend (see 'simulate --backend')")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="worker processes for --backend sharded")
 
     experiment = subparsers.add_parser(
         "experiment", help="regenerate one of the paper's tables or figures"
@@ -198,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = subparsers.add_parser(
         "analyze",
         help="run the AST-based invariant analyzer (determinism, version-"
-        "bump, cache-invalidation, cross-process, serialization rules)",
+        "bump, cache-invalidation, serialization rules)",
     )
     analyze.add_argument(
         "paths", nargs="*",
@@ -285,8 +272,6 @@ def _build_spec(args: argparse.Namespace) -> ClusterSpec:
         strategy=args.strategy,
         houdini=houdini_config,
         workload=workload,
-        execution_backend=getattr(args, "backend", "inline"),
-        num_workers=getattr(args, "workers", 2),
     )
 
 

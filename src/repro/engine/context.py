@@ -46,7 +46,6 @@ class TransactionContext:
         locked_partitions: PartitionSet | None = None,
         undo_enabled: bool = True,
         executor: StatementExecutor | None = None,
-        undo_log: UndoLog | None = None,
     ) -> None:
         self.catalog = catalog
         self.database = database
@@ -57,9 +56,7 @@ class TransactionContext:
         #: Partitions the coordinator locked for this transaction.  ``None``
         #: means every partition is available (a fully distributed txn).
         self.locked_partitions = locked_partitions
-        # An injected log (the sharded backend's effect-capturing one) must
-        # agree with undo_enabled; callers construct it that way.
-        self.undo_log = undo_log if undo_log is not None else UndoLog(enabled=undo_enabled)
+        self.undo_log = UndoLog(enabled=undo_enabled)
         # The statement executor is stateless; the engine shares one across
         # attempts instead of allocating one per transaction.
         self.executor = executor or StatementExecutor(catalog, database)

@@ -21,7 +21,6 @@ from typing import Any, Sequence
 from ..catalog.schema import Catalog
 from ..errors import MispredictionAbort, UserAbort
 from ..storage.partition_store import Database
-from ..storage.undo_log import UndoLog
 from ..types import PartitionId, PartitionSet, ProcedureRequest, QueryInvocation
 from .context import QueryListener, TransactionContext
 from .executor import StatementExecutor
@@ -82,7 +81,6 @@ class ExecutionEngine:
         base_partition: PartitionId = 0,
         locked_partitions: PartitionSet | None = None,
         undo_enabled: bool = True,
-        undo_log: UndoLog | None = None,
     ) -> TransactionContext:
         """Build a transaction context for a request without running it."""
         procedure = self.catalog.procedure(request.procedure)
@@ -97,7 +95,6 @@ class ExecutionEngine:
             locked_partitions=locked_partitions,
             undo_enabled=undo_enabled,
             executor=self.executor,
-            undo_log=undo_log,
         )
 
     # ------------------------------------------------------------------
@@ -110,7 +107,6 @@ class ExecutionEngine:
         locked_partitions: PartitionSet | None = None,
         undo_enabled: bool = True,
         listeners: Sequence[QueryListener] = (),
-        undo_log: UndoLog | None = None,
     ) -> AttemptResult:
         """Run one attempt of ``request`` and return its outcome.
 
@@ -124,7 +120,6 @@ class ExecutionEngine:
             base_partition=base_partition,
             locked_partitions=locked_partitions,
             undo_enabled=undo_enabled,
-            undo_log=undo_log,
         )
         for listener in listeners:
             context.add_listener(listener)

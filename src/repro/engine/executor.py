@@ -203,16 +203,10 @@ class StatementExecutor:
         statement = plan.statement
         heap = plan.heaps[partition_id]
         operation = statement.operation
-        effects = undo_log.effects
         if operation is Operation.INSERT:
             values = statement.bind_insert(parameters)
             row_id = heap.insert(values)
             undo_log.record_insert(plan.table_name, partition_id, row_id)
-            if effects is not None:
-                # Post-insert image: new_row may have filled defaults.
-                effects.append(
-                    ("i", plan.table_name, partition_id, row_id, dict(heap.row(row_id)))
-                )
             return 1
         bindings = plan.pk_bindings
         if bindings is not None and plan.pk_max_param < len(parameters):
@@ -240,30 +234,22 @@ class StatementExecutor:
                 if has_deltas:
                     resolved = self._resolve_deltas(heap.row(row_id), assignments)
                     before = heap.update(row_id, resolved, capture_before=logging)
-                    applied = resolved
                 else:
                     before = heap.update(
                         row_id, assignments, validate=False, capture_before=logging
                     )
-                    applied = assignments
                 if logging:
                     undo_log.record_update(plan.table_name, partition_id, row_id, before)
                 else:
                     # OP3 active: no image was built, but the skipped-record
                     # count must stay exact.
                     undo_log.note_skipped()
-                if effects is not None:
-                    effects.append(
-                        ("u", plan.table_name, partition_id, row_id, applied)
-                    )
             return len(row_ids)
         if operation is Operation.DELETE:
             count = 0
             for row_id in row_ids:
                 before = heap.delete(row_id)
                 undo_log.record_delete(plan.table_name, partition_id, row_id, before)
-                if effects is not None:
-                    effects.append(("d", plan.table_name, partition_id, row_id))
                 count += 1
             return count
         raise ExecutionError(f"unsupported operation {operation!r}")  # pragma: no cover

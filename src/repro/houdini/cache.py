@@ -170,31 +170,6 @@ class EstimateCache:
         self.stats.hits += 1
         return entry
 
-    def peek(
-        self,
-        key: CacheKey | None,
-        token: tuple[int, int] | None = None,
-        signature: tuple | None = None,
-    ) -> CachedEstimate | None:
-        """Side-effect-free :meth:`lookup`: no stats, no LRU refresh, no
-        eviction.
-
-        The sharded backend uses this to *speculate* whether a request would
-        be served from the cache without perturbing any counter the real
-        (authoritative) ``lookup`` at fold time will advance — the peek must
-        leave the cache byte-identical to a run that never peeked.
-        """
-        if key is None:
-            return None
-        entry = self._entries.get(key)
-        if (
-            entry is None
-            or entry.model_token != token
-            or entry.signature != signature
-        ):
-            return None
-        return entry
-
     def store(
         self,
         key: CacheKey | None,

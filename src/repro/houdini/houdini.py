@@ -184,45 +184,6 @@ class Houdini:
         self._record_plan_stats(request, estimate, decision)
         return HoudiniPlan(plan=plan, runtime=runtime, estimate=estimate, decision=decision)
 
-    def plan_speculative(self, request: ProcedureRequest) -> ExecutionPlan | None:
-        """Predict — without side effects — the plan :meth:`plan` would return.
-
-        Serves the sharded backend's dispatch decision: a request whose §6.3
-        cache entry is valid *now* will (absent interleaved invalidations)
-        be planned from that same entry when the transaction is folded back,
-        so its plan arguments are known before the authoritative ``plan``
-        call runs.  Returns ``None`` whenever the cache cannot vouch for the
-        request; the caller then executes inline.  No statistic, LRU state,
-        estimate field or model is touched — a run that calls this between
-        ``plan`` calls stays byte-identical to one that never does.
-        """
-        estimate_cache = self.estimate_cache
-        if estimate_cache is None:
-            return None
-        footprint, signature = self.estimator.footprint_and_signature(request)
-        if signature is None:
-            return None
-        cache_key = EstimateCache.key_for(request, footprint)
-        if cache_key is None:
-            return None
-        model = self.provider.model_for(request)
-        token = (
-            (id(model), model.version)
-            if model is not None and model.processed
-            else None
-        )
-        cached = estimate_cache.peek(cache_key, token, signature)
-        if cached is None:
-            return None
-        estimate = cached.estimate
-        if self.config.estimate_cache_simulated_savings:
-            charged_ms = self.config.estimation_cache_hit_ms
-        else:
-            charged_ms = self.config.estimation_cost_ms(
-                estimate.work_units, estimate.query_count
-            )
-        return cached.decision.as_plan(charged_ms, source="houdini:cached")
-
     def plan_restart(
         self,
         request: ProcedureRequest,

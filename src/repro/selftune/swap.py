@@ -21,10 +21,9 @@ procedure's state:
 Nothing else is rekeyed: other procedures' cached walks and estimates stay
 exactly where they are (the swap-isolation tests pin this down).
 
-Sessions execute transactions one at a time on the coordinator — the sharded
-backend speculates, but its authoritative folds replay in submission order —
-so a swap performed between two transactions (inside ``after_attempt``) is
-atomic by construction.
+Sessions execute transactions one at a time in the event loop, so a swap
+performed between two transactions (inside ``after_attempt``) is atomic by
+construction.
 """
 
 from __future__ import annotations

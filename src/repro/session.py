@@ -217,16 +217,6 @@ class ClusterSpec:
     #: scale mode (counters stay exact; percentiles carry the sketch's
     #: documented error bound).
     metrics_mode: str = "exact"
-    #: Where transaction logic executes: ``"inline"`` (default) runs it in
-    #: the event loop; ``"sharded"`` shards the partition stores across
-    #: ``num_workers`` OS worker processes and dispatches predictable
-    #: single-partition transactions to them (:mod:`repro.sim.backend`).
-    #: Simulated metrics are byte-identical either way under the same
-    #: seed; only wall-clock throughput differs.
-    execution_backend: str = "inline"
-    #: Worker processes for the sharded backend (clamped to the partition
-    #: count; ignored by the inline backend).
-    num_workers: int = 2
     # --- workload ------------------------------------------------------
     #: How traffic enters the session: a :class:`WorkloadSource` (or its
     #: dict form).  ``None`` — the default — is the legacy closed loop
@@ -301,19 +291,6 @@ class ClusterSpec:
             raise SessionError(
                 f"metrics_mode must be 'exact' or 'streaming', "
                 f"got {self.metrics_mode!r}"
-            )
-        if self.execution_backend not in ("inline", "sharded"):
-            raise SessionError(
-                f"execution_backend must be 'inline' or 'sharded', "
-                f"got {self.execution_backend!r}"
-            )
-        if (
-            not isinstance(self.num_workers, int)
-            or isinstance(self.num_workers, bool)
-            or self.num_workers < 1
-        ):
-            raise SessionError(
-                f"num_workers must be an integer >= 1, got {self.num_workers!r}"
             )
         if isinstance(self.policy, str) and self.policy not in available_policies():
             raise SessionError(
@@ -422,8 +399,6 @@ class ClusterSpec:
             "warmup_fraction": self.warmup_fraction,
             "client_think_time_ms": self.client_think_time_ms,
             "metrics_mode": self.metrics_mode,
-            "execution_backend": self.execution_backend,
-            "num_workers": self.num_workers,
             "workload": self.workload.to_dict() if self.workload is not None else None,
             "policy": policy,
             "admission": _init_field_dict(self.admission),
@@ -461,8 +436,6 @@ class ClusterSpec:
             admission_limits=self.admission,
             open_loop=open_loop,
             metrics_mode=self.metrics_mode,
-            execution_backend=self.execution_backend,
-            num_workers=self.num_workers,
             # Copied so live reconfigure never mutates the (reusable) spec.
             tenancy=self.tenancy.copy() if self.tenancy is not None else None,
         )
@@ -1205,17 +1178,14 @@ class ClusterSession:
             self.reconfigure(**changes)
 
     def close(self) -> SimulationResult:
-        """Drain the session and seal it; returns the final metrics.
-
-        Also stops the sharded backend's worker processes, if any.
-        """
+        """Drain the session and seal it; returns the final metrics."""
         if self._closed:
             raise SessionError("session is already closed")
         try:
             result = self.drain()
         finally:
+            # A drain that raised leaves state no later call should run on.
             self._closed = True
-            self.simulator.close()
         return result
 
     # ------------------------------------------------------------------
@@ -1229,9 +1199,7 @@ class ClusterSession:
             # The body failed: seal the session without draining.  Running
             # the event loop on the very state that just raised could both
             # mask the original exception and silently execute queued work.
-            # Worker processes are still released.
             self._closed = True
-            self.simulator.close()
             return
         self.close()
 

@@ -118,15 +118,6 @@ class SimulatorConfig:
     #: O(1)-memory sketches (:mod:`repro.sim.sketch`) so unbounded runs
     #: never grow per-transaction state — the million-user scale mode.
     metrics_mode: str = "exact"
-    #: ``"inline"`` executes every transaction in the event loop (default);
-    #: ``"sharded"`` shards the partition stores across OS worker processes
-    #: and dispatches predictable single-partition transactions to them
-    #: (:mod:`repro.sim.backend`).  Simulated results are byte-identical
-    #: either way; only wall-clock throughput differs.
-    execution_backend: str = "inline"
-    #: Worker-process count for the sharded backend (clamped to the
-    #: partition count; ignored by the inline backend).
-    num_workers: int = 2
     #: Multi-tenant policy (``repro.tenancy``): per-tenant weighted fair
     #: queuing, admission quotas, latency SLOs and predicted-work shedding.
     #: ``None`` keeps the single shared scheduler.
@@ -206,11 +197,6 @@ class ClusterSimulator:
         #: Populated by :meth:`begin` (scheduler + admission introspection).
         self.scheduler: TransactionScheduler | None = None
         self.admission: AdmissionController | None = None
-        #: Execution backend (created at the first :meth:`begin` of a
-        #: sharded run; survives :meth:`reset` so worker processes persist
-        #: across episodes exactly like the database does).
-        self._backend = None
-        self._execute = self.coordinator.execute_transaction
         self._began = False
         #: Optional self-tuning manager (``repro.selftune``); installed by the
         #: session so :meth:`_build_result` can report its counters.
@@ -243,11 +229,6 @@ class ClusterSimulator:
             raise SimulationError(
                 f"metrics_mode must be 'exact' or 'streaming', "
                 f"got {config.metrics_mode!r}"
-            )
-        if config.execution_backend not in ("inline", "sharded"):
-            raise SimulationError(
-                f"execution_backend must be 'inline' or 'sharded', "
-                f"got {config.execution_backend!r}"
             )
         streaming = config.metrics_mode == "streaming"
         self._streaming = streaming
@@ -319,20 +300,8 @@ class ClusterSimulator:
         self._now = 0.0
         #: Submission/pop time of the transaction currently executing: the
         #: deterministic clock self-tuning retrain jobs run against.  Unlike
-        #: ``_now`` it is set at every execute site (including sharded folds,
-        #: which replay at the entry's pop time), so it reads identically
-        #: across backends.
+        #: ``_now`` it is set at every execute site.
         self._txn_clock = 0.0
-        if config.execution_backend == "sharded":
-            if self._backend is None:
-                from .backend import ShardedBackend
-
-                self._backend = ShardedBackend(self, config.num_workers)
-            # Once workers exist, every out-of-pipeline execution must
-            # broadcast its writes to them.
-            self._execute = self._backend.execute_local
-        else:
-            self._execute = self.coordinator.execute_transaction
         self._began = True
 
     @property
@@ -345,9 +314,9 @@ class ClusterSimulator:
         """Simulated submission time of the currently executing transaction.
 
         This is the clock the self-tuning subsystem schedules retrain jobs
-        against: it advances identically under the inline and sharded
-        backends (sharded folds replay in submission order at pop time), so
-        time-driven decisions stay byte-deterministic across backends.
+        against: it is stamped at every execute site, including the fast
+        loop that does not advance ``now_ms`` per event, so time-driven
+        decisions stay byte-deterministic.
         """
         return self._txn_clock if self._began else 0.0
 
@@ -525,16 +494,8 @@ class ClusterSimulator:
     def reset(self) -> None:
         """Discard all incremental state; the next drive starts a fresh
         episode (the database and strategy keep their accumulated state,
-        exactly as repeated legacy ``run()`` calls did — and so does the
-        sharded backend's worker pool, whose database copies track the
-        coordinator's)."""
+        exactly as repeated legacy ``run()`` calls did)."""
         self._began = False
-
-    def close(self) -> None:
-        """Release backend resources (sharded worker processes).  Idempotent;
-        the inline backend holds none."""
-        if self._backend is not None:
-            self._backend.shutdown()
 
     def run(self) -> SimulationResult:
         """One-shot batch entry point (``config.total_transactions`` txns).
@@ -579,10 +540,7 @@ class ClusterSimulator:
             # folded into its next CLIENT_READY event — one heap entry per
             # transaction.  Submissions still go through the scheduler, so
             # the policy orders them and the stats stay live.
-            if self._backend is not None:
-                self._backend.run_fast(limit)
-            else:
-                self._run_fast(limit)
+            self._run_fast(limit)
         else:
             self._run_general(deadline_ms, limit, need_estimates, gate_on_partitions)
 
@@ -605,7 +563,7 @@ class ClusterSimulator:
         scheduler_pop = self.scheduler.pop
         record_zero_wait = self.scheduler.record_zero_wait
         next_request = self.generator.next_request
-        execute = self._execute
+        execute = self.coordinator.execute_transaction
         processed = 0
         while events and processed < limit:
             processed += 1
@@ -779,7 +737,7 @@ class ClusterSimulator:
         breakdown_acc = self._breakdown_acc
         next_wakeup = self._next_wakeup
         redirect_ms = self.cost_model.redirect_ms
-        execute = self._execute
+        execute = self.coordinator.execute_transaction
         tenancy = self.tenancy
         quota = tenancy.quota if tenancy is not None else None
         if gate_on_partitions and not self._ungated_queued:
@@ -1026,7 +984,7 @@ class ClusterSimulator:
                 )
             result.tenants[tenant] = breakdown
         # Maintenance (§4.5) and self-tuning activity, surfaced per snapshot.
-        # Built here — shared by run()/snapshot()/sharded folds — so session
+        # Built here — shared by run()/snapshot() — so session
         # and batch results stay byte-identical.
         houdini = getattr(self.strategy, "houdini", None)
         if houdini is not None:

@@ -52,12 +52,6 @@ class UndoLog:
     roll back raises :class:`UnrecoverableError`.
     """
 
-    #: Optional write-effect sink.  When a subclass sets this to a list, the
-    #: statement executor appends one replayable op per physical write —
-    #: independent of whether undo records are being retained.  ``None`` (the
-    #: default) keeps the hot write path free of any capture cost.
-    effects: list | None = None
-
     def __init__(self, enabled: bool = True) -> None:
         self._enabled = enabled
         self._records: list[UndoRecord] = []

@@ -91,19 +91,6 @@ class HoudiniStrategy(ExecutionStrategy):
             return ()
         return (houdini_plan.runtime,)
 
-    def replace_current_runtime(self, runtime) -> None:
-        """Swap the monitor of the attempt currently being executed.
-
-        The sharded backend's fold path walks the original runtime over a
-        worker's invocation stream to validate a speculative execution; when
-        validation fails mid-walk the runtime has already consumed part of
-        that stream, so the local re-execution needs a fresh, unwalked clone
-        in its place (both as the attempt listener and for the bookkeeping
-        that ``on_transaction_complete`` later reads).
-        """
-        if self._current_plans and self._current_plans[-1] is not None:
-            self._current_plans[-1].runtime = runtime
-
     def on_transaction_complete(self, record: TransactionRecord) -> None:
         for houdini_plan, attempt in zip(self._current_plans, record.attempts):
             if houdini_plan is None:

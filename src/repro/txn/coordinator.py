@@ -48,29 +48,17 @@ class TransactionCoordinator:
 
     # ------------------------------------------------------------------
     def execute_transaction(
-        self,
-        request: ProcedureRequest,
-        txn_id: TransactionId | None = None,
-        *,
-        engine: ExecutionEngine | None = None,
+        self, request: ProcedureRequest, txn_id: TransactionId | None = None
     ) -> TransactionRecord:
-        """Execute one logical transaction, restarting after mispredictions.
-
-        ``engine`` substitutes the attempt executor for this one transaction
-        — the sharded backend folds worker-executed attempts back through
-        here so planning, retries and strategy callbacks stay identical to
-        inline execution.
-        """
+        """Execute one logical transaction, restarting after mispredictions."""
         if txn_id is None:
             txn_id = self._next_txn_id
             self._next_txn_id += 1
-        if engine is None:
-            engine = self.engine
         record = TransactionRecord(txn_id=txn_id, request=request)
         plan = self.strategy.plan_initial(request)
         for attempt_number in range(self.max_restarts + 1):
             listeners = self.strategy.attempt_listeners(request, plan)
-            attempt = engine.execute_attempt(
+            attempt = self.engine.execute_attempt(
                 request,
                 txn_id=txn_id,
                 base_partition=plan.base_partition,

@@ -18,16 +18,13 @@ def check(tmp_path):
 
         findings = check({"mod.py": "..."}, rule="determinism")
 
-    File names may contain directories (``sim/backend/worker.py``) so the
-    path-suffix-scoped rules can be exercised.  The snippet is dedented,
-    written under ``tmp_path`` and scanned with ``tmp_path`` as the root,
-    so finding paths match the given names.
+    Each snippet is dedented, written under ``tmp_path`` and scanned with
+    ``tmp_path`` as the root, so finding paths match the given names.
     """
 
     def _check(sources: dict[str, str], rule: str | None = None):
         for name, body in sources.items():
             target = tmp_path / name
-            target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(textwrap.dedent(body), encoding="utf-8")
         rules = rules_by_id([rule] if rule else None)
         report = run_analysis([Path(tmp_path)], rules)

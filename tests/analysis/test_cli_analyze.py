@@ -82,8 +82,7 @@ class TestJsonMode:
         assert finding["rule"] == "determinism"
         assert finding["path"] == "mod.py"
         assert set(document["rules"]) == {
-            "determinism", "version-bump", "cache-poke",
-            "process-hygiene", "serialization",
+            "determinism", "version-bump", "cache-poke", "serialization",
         }
 
 

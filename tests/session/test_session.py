@@ -68,9 +68,22 @@ class TestClusterSpec:
         with pytest.raises(SessionError, match="num_partition.*did you mean.*num_partitions"):
             ClusterSpec.from_kwargs(num_partition=8)
 
-    def test_unknown_kwarg_lists_valid_fields(self):
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("frobnicate", 1),
+            # Fields of the removed multiprocess backend: a stale spec dict
+            # carrying them must fail rather than be silently accepted.
+            ("execution_backend", "sharded"),
+            ("num_workers", 2),
+        ],
+    )
+    def test_unknown_kwarg_lists_valid_fields(self, field, value):
         with pytest.raises(SessionError, match="valid fields:.*benchmark"):
-            ClusterSpec.from_kwargs(frobnicate=1)
+            ClusterSpec.from_kwargs(**{field: value})
+        stale = {**ClusterSpec().to_dict(), field: value}
+        with pytest.raises(SessionError, match=f"unknown ClusterSpec field.*{field}"):
+            ClusterSpec.from_dict(stale)
 
     @pytest.mark.parametrize(
         "field,value,match",

@@ -3,8 +3,7 @@
 The contracts:
 
 * same seed + same spec with tenancy enabled -> byte-identical
-  ``SimulationResult.to_dict()``, and the sharded backend produces the
-  identical bytes (reconfigure mid-run included);
+  ``SimulationResult.to_dict()`` (reconfigure mid-run included);
 * per-tenant quotas cap concurrency without admission-stat underflow, and
   survive a mid-run quota reconfigure (slots admitted under the old config
   release cleanly);
@@ -59,11 +58,10 @@ def standard_tenancy(**overrides) -> TenancyConfig:
     return TenancyConfig(**kwargs)
 
 
-def run_bytes(backend: str, *, squeeze: bool = False) -> str:
+def run_bytes(*, squeeze: bool = False) -> str:
     artifacts, strategy = fresh_pipeline()
     spec = ClusterSpec(
         benchmark="tatp", num_partitions=PARTITIONS,
-        execution_backend=backend,
         workload=two_tenant_workload(),
         tenancy=standard_tenancy(),
     )
@@ -80,15 +78,10 @@ def run_bytes(backend: str, *, squeeze: bool = False) -> str:
 
 class TestByteDeterminism:
     def test_same_seed_same_bytes(self):
-        assert run_bytes("inline") == run_bytes("inline")
-
-    def test_sharded_equals_inline(self):
-        assert run_bytes("sharded") == run_bytes("inline")
+        assert run_bytes() == run_bytes()
 
     def test_reconfigure_preserves_equivalence(self):
-        inline = run_bytes("inline", squeeze=True)
-        assert inline == run_bytes("inline", squeeze=True)
-        assert inline == run_bytes("sharded", squeeze=True)
+        assert run_bytes(squeeze=True) == run_bytes(squeeze=True)
 
 
 class TestQuotas:

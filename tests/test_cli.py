@@ -32,6 +32,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "tpcc", "--strategy", "magic"])
 
+    def test_backend_flag_rejected(self, capsys):
+        """Transactions only execute inline: there is no backend to pick."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["simulate", "tpcc", "--backend", "sharded"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend sharded" in capsys.readouterr().err
+
     def test_every_registered_experiment_is_accepted(self):
         parser = build_parser()
         for identifier in EXPERIMENTS:
