@@ -26,7 +26,7 @@ from repro.houdini import HoudiniConfig
 from repro.scheduling import AdmissionLimits
 from repro.scheduling.policies import ShortestPredictedFirstPolicy
 from repro.session import Cluster, ClusterSession, ClusterSpec
-from repro.sim import CostModel, SimulationResult
+from repro.sim import CostModel, SimulationResult, SimulatorConfig
 from repro.types import ProcedureRequest
 
 
@@ -84,6 +84,14 @@ class TestClusterSpec:
         stale = {**ClusterSpec().to_dict(), field: value}
         with pytest.raises(SessionError, match=f"unknown ClusterSpec field.*{field}"):
             ClusterSpec.from_dict(stale)
+
+    @pytest.mark.parametrize(
+        "field,value", [("execution_backend", "sharded"), ("num_workers", 2)]
+    )
+    def test_simulator_config_has_no_backend_fields(self, field, value):
+        """Below the spec too: transactions only execute inline."""
+        with pytest.raises(TypeError, match=field):
+            SimulatorConfig(**{field: value})
 
     @pytest.mark.parametrize(
         "field,value,match",
@@ -492,10 +500,27 @@ class TestSessionLifecycle:
         # drain never ran: only the 10 driven transactions completed.
         assert len(session.simulator._completions) == 10
 
+    def test_close_seals_even_when_drain_raises(self, monkeypatch):
+        session = Cluster.open(
+            ClusterSpec(benchmark="tatp", num_partitions=2, trace_transactions=100,
+                        strategy="oracle"),
+        )
+        session.run_for(txns=10)
+
+        def broken_run_until(**_):
+            raise RuntimeError("drain failed")
+
+        monkeypatch.setattr(session.simulator, "run_until", broken_run_until)
+        with pytest.raises(RuntimeError, match="drain failed"):
+            session.close()
+        assert session.closed
+        with pytest.raises(SessionError, match="already closed"):
+            session.close()
+
     def test_repeat_run_gives_independent_episodes(self):
         """Legacy contract: each ClusterSimulator.run() is a fresh episode
         (fresh scheduler and accumulators over the evolving database)."""
-        from repro.sim import ClusterSimulator, SimulatorConfig
+        from repro.sim import ClusterSimulator
 
         artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
         simulator = ClusterSimulator(

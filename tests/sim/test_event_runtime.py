@@ -277,3 +277,75 @@ class TestSchedulingIntegration:
             return pipeline.simulate(artifacts, strategy, transactions=150, policy=policy)
 
         _assert_identical(run("fcfs"), run(None))
+
+
+# ----------------------------------------------------------------------
+# The two inline loops agree
+# ----------------------------------------------------------------------
+_LOOP_STRATEGIES = (
+    "assume-distributed",
+    "assume-single-partition",
+    "oracle",
+    "houdini",
+    "houdini-partitioned",
+)
+
+
+def _open_session(bench_name, strategy_name, *, seed, think=0.0):
+    from repro.session import Cluster, ClusterSpec
+
+    artifacts = pipeline.train(bench_name, 4, trace_transactions=150, seed=seed)
+    return Cluster.open(
+        ClusterSpec(
+            benchmark=bench_name, num_partitions=4, client_think_time_ms=think
+        ),
+        artifacts=artifacts,
+        strategy=pipeline.make_strategy(strategy_name, artifacts),
+    )
+
+
+def _drive(simulator, txns, *, general):
+    """Grant ``txns`` submissions and run to quiescence.
+
+    Any finite deadline keeps the pass-through fast loop out of the way, so
+    ``general=True`` drives the same budget through the general event loop.
+    """
+    simulator.extend_budget(txns)
+    if general:
+        simulator.run_until(deadline_ms=1e300)
+    else:
+        simulator.run_until()
+
+
+class TestFastAndGeneralLoopsAgree:
+    """Under FCFS without admission or tenancy the simulator may take either
+    event loop; the choice must never show in the result."""
+
+    @pytest.mark.parametrize("bench_name", ["tatp", "tpcc", "smallbank"])
+    @pytest.mark.parametrize("strategy_name", _LOOP_STRATEGIES)
+    def test_fast_loop_equals_general_loop(self, bench_name, strategy_name):
+        def run(general):
+            session = _open_session(bench_name, strategy_name, seed=17)
+            _drive(session.simulator, 300, general=general)
+            return session.close().to_dict()
+
+        assert run(general=False) == run(general=True)
+
+    @pytest.mark.parametrize("think", [0.0, 0.5])
+    def test_out_of_loop_submit_between_fast_stretches(self, think):
+        """Fast loop, then an out-of-loop submit (forcing the general loop),
+        then a further stretch: identical to driving everything through the
+        general loop, including the submitted transaction's accounting."""
+
+        def scripted(general):
+            session = _open_session("tatp", "houdini", seed=11, think=think)
+            simulator = session.simulator
+            _drive(simulator, 400, general=general)
+            raw = simulator.generator.next_request()
+            session.submit(ProcedureRequest(raw.procedure, raw.parameters, 0, 0))
+            _drive(simulator, 150, general=general)
+            return session.close()
+
+        fast, general = scripted(general=False), scripted(general=True)
+        assert fast.to_dict() == general.to_dict()
+        assert fast.total_transactions == 551

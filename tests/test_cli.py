@@ -39,6 +39,20 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --backend sharded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "tpcc", "--workers", "2"],
+            ["serve", "tatp", "--backend", "sharded"],
+            ["serve", "tatp", "--workers", "2"],
+        ],
+    )
+    def test_removed_execution_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
+
     def test_every_registered_experiment_is_accepted(self):
         parser = build_parser()
         for identifier in EXPERIMENTS:
