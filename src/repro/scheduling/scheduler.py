@@ -178,9 +178,9 @@ class TransactionScheduler:
         #: class; recorded by the simulator at dispatch and summarized into
         #: :attr:`SchedulerStats.queue_wait_by_class` on snapshot.  Survives
         #: :meth:`rekey` — the scheduler keeps describing the same queue.
-        #: Zero-wait dispatches (the pass-through fast path) are counted,
-        #: not appended, so the saturated closed loop stays O(1) per
-        #: transaction in both time and memory.  With ``streaming_waits``
+        #: Zero-wait dispatches (every dispatch of a pass-through FCFS
+        #: loop) are counted, not appended, so the saturated closed loop
+        #: stays O(1) per transaction in memory.  With ``streaming_waits``
         #: the per-class values are LatencySketch instances, not lists.
         self._waits: dict[str, list] = {}
         self._zero_waits: dict[str, int] = {}
@@ -275,13 +275,6 @@ class TransactionScheduler:
         self._cost_cache.clear()
         self._class_keys.clear()
 
-    def resubmit(self, pending: PendingTransaction) -> None:
-        """Return a deferred transaction to the queue (admission control)."""
-        pending.deferrals += 1
-        self.stats.dispatched -= 1
-        self.stats.requeued += 1
-        self._push(pending)
-
     def note_rejected(self, pending: PendingTransaction) -> None:
         """Reclassify a popped transaction as rejected, not dispatched."""
         self.stats.dispatched -= 1
@@ -296,11 +289,13 @@ class TransactionScheduler:
         """
 
     def requeue(self, pending: PendingTransaction) -> None:
-        """Return a transaction without counting a deferral.
+        """Return a popped transaction to the queue, undoing its dispatch.
 
-        Used by the event-driven simulator for partition-blocked dispatches:
-        waiting for a busy partition is not an admission push-back, so it
-        must not eat into the ``max_deferrals`` rejection budget.
+        The event-driven simulator requeues every pop it cannot start.  An
+        admission deferral bumps ``pending.deferrals`` itself before the
+        requeue; a partition- or quota-blocked pop does not, since waiting
+        for a busy partition is not an admission push-back and must not eat
+        into the ``max_deferrals`` rejection budget.
         """
         self.stats.dispatched -= 1
         self.stats.requeued += 1
@@ -390,10 +385,6 @@ class TransactionScheduler:
                 waits = []
             self._waits[procedure] = waits
         waits.append(wait_ms)
-
-    def record_zero_wait(self, procedure: str) -> None:
-        """Count an immediate (zero-wait) dispatch — the fast-path case."""
-        self._zero_waits[procedure] = self._zero_waits.get(procedure, 0) + 1
 
     def wait_summary(self) -> dict[str, dict]:
         """Per-class queue-wait summary: count/mean/max + p50/p95/p99.

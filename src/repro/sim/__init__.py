@@ -3,13 +3,15 @@
 The package has four pieces:
 
 * :mod:`~repro.sim.events` — the event vocabulary.  The run loop is a single
-  binary heap of ``(time, kind, tiebreak, payload)`` entries with three
+  binary heap of ``(time, kind, tiebreak, payload)`` entries with four
   kinds: ``CLIENT_READY`` (a closed-loop client submits its next request to
-  the node scheduler), ``TXN_COMPLETE`` (an in-flight transaction reached
-  its simulated end: admission capacity is released and the completion is
-  recorded — the completion stream is therefore produced already ordered by
-  end time) and ``PARTITION_RELEASE`` (a partition's busy window ended,
-  waking partition-blocked dispatches).  Kind codes double as
+  the node scheduler, recording its previous transaction's completion when
+  dispatch folded it into this event), ``TXN_COMPLETE`` (an in-flight
+  transaction reached its simulated end: admission capacity is released and
+  the completion is recorded — the completion stream is therefore produced
+  already ordered by end time), ``PARTITION_RELEASE`` (a partition's busy
+  window ended, waking partition-blocked dispatches) and ``EXTERNAL_SUBMIT``
+  (a request injected from outside the closed loop).  Kind codes double as
   same-timestamp priorities.
 * :class:`~repro.sim.simulator.ClusterSimulator` — the closed-loop driver,
   an incrementally steppable event core: ``begin()`` initializes the heap
@@ -19,10 +21,12 @@ The package has four pieces:
   metrics on demand.  ``run()`` remains the one-shot batch entry point, and
   :class:`repro.session.ClusterSession` is the long-lived façade.  Every
   submission is routed through a
-  :class:`~repro.scheduling.scheduler.TransactionScheduler`; under the
-  default FCFS policy the runtime reproduces the legacy greedy driver's
-  results exactly (held by ``tests/sim/test_event_runtime.py``), while
-  prediction-aware policies and admission control run inside the same loop.
+  :class:`~repro.scheduling.scheduler.TransactionScheduler`, and one event
+  loop serves every configuration: under the default FCFS policy the
+  scheduler is pass-through and the results equal the greedy reference
+  driver's (held by ``tests/sim/test_event_runtime.py``), while
+  prediction-aware policies, admission control and tenancy gate dispatch
+  inside the same loop.
 * :class:`~repro.sim.cost_model.CostModel` — simulated-time constants plus
   the per-(procedure, plan-shape) *cost-schedule cache*: everything except a
   plan's estimation overhead depends only on the attempt's shape (base

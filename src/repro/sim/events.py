@@ -23,7 +23,11 @@ Four event kinds exist:
   so a paused core can report its in-flight transactions
   (:meth:`~repro.sim.simulator.ClusterSimulator.in_flight`).
 * ``CLIENT_READY`` — a closed-loop client submits its next request to the
-  node's :class:`~repro.scheduling.scheduler.TransactionScheduler`.
+  node's :class:`~repro.scheduling.scheduler.TransactionScheduler`.  When
+  nothing can observe a completion's own instant (no partition gate,
+  admission control or tenancy, and no simulated deadline), dispatch pushes
+  this event at ``end + think`` carrying the finished transaction's
+  ``(end, committed)`` record, in place of a ``TXN_COMPLETE``.
 * ``EXTERNAL_SUBMIT`` — a request injected from outside the closed loop
   (``ClusterSession.submit``, or a compiled
   :class:`~repro.workload.sources.WorkloadSource` arrival stream — open
@@ -49,7 +53,8 @@ PARTITION_RELEASE = 0
 #: pending, record)``).
 TXN_COMPLETE = 1
 #: A closed-loop client submits its next request (payload: ``None``, or the
-#: folded ``(end, committed)`` completion record on the FCFS fast path).
+#: ``(end, committed)`` record of its previous transaction when dispatch
+#: folded that completion into this event instead of a ``TXN_COMPLETE``).
 CLIENT_READY = 2
 #: An externally injected request enters the scheduler (payload:
 #: ``(request, tenant)`` — the :class:`~repro.types.ProcedureRequest` plus

@@ -38,8 +38,9 @@ routed through a :class:`~repro.scheduling.scheduler.TransactionScheduler`,
 so queue policies and admission control are exercised by throughput runs:
 
 * under the default FCFS policy with no admission limits the scheduler is
-  pass-through and the runtime reproduces the legacy greedy driver's results
-  exactly (``tests/sim`` holds them equal metric-by-metric);
+  pass-through: every submission dispatches at once, and the runtime
+  reproduces the greedy reference driver kept in
+  ``tests/sim/test_event_runtime.py`` metric by metric;
 * a prediction-aware policy annotates each request with its Houdini path
   estimate (:meth:`~repro.txn.strategy.ExecutionStrategy.preview_estimate`),
   dispatches by predicted cost/partition profile, and *partition-gates*
@@ -53,10 +54,19 @@ partitions are released at commit — or earlier when the early-prepare
 optimization (OP4) declared the transaction finished with them, which is how
 speculative execution shows up in the timing model.
 
+One event loop (:meth:`ClusterSimulator._run_events`) processes every
+event, and one method (:meth:`ClusterSimulator._drain`) dispatches every
+transaction.  When nothing can observe a completion's own instant — no
+partition gate, admission control or tenancy, and no simulated deadline —
+dispatch folds a closed-loop transaction's completion into its client's next
+``CLIENT_READY`` event, so the saturated closed loop costs one heap entry
+per transaction instead of two.
+
 Metric updates are batched: the loop appends to flat accumulator arrays and
 a :class:`~repro.sim.metrics.SimulationResult` is materialized on demand.
-Completions are recorded at ``TXN_COMPLETE`` events, i.e. already ordered by
-end time, so the warm-up window needs one linear pass instead of a sort.
+Completions are recorded at ``TXN_COMPLETE`` events, or when a folded
+``CLIENT_READY`` pops, i.e. already ordered by end time, so the warm-up
+window needs one linear pass instead of a sort.
 """
 
 from __future__ import annotations
@@ -289,9 +299,6 @@ class ClusterSimulator:
         #: Clients that became ready while the submission budget was
         #: exhausted: ``(ready_time, client_id)``, revived on extension.
         self._parked: list[tuple[float, int]] = []
-        #: Outstanding heap entries the FCFS fast path cannot interpret
-        #: (TXN_COMPLETE / PARTITION_RELEASE / EXTERNAL_SUBMIT).
-        self._general_events = 0
         #: Queued transactions the partition gate cannot block (no in-range
         #: predicted partitions).  When this is zero and every partition is
         #: busy, a drain scan cannot dispatch anything — ``_drain`` skips
@@ -314,9 +321,9 @@ class ClusterSimulator:
         """Simulated submission time of the currently executing transaction.
 
         This is the clock the self-tuning subsystem schedules retrain jobs
-        against: it is stamped at every execute site, including the fast
-        loop that does not advance ``now_ms`` per event, so time-driven
-        decisions stay byte-deterministic.
+        against: it is stamped at every dispatch, while the event loop
+        publishes ``now_ms`` only when it returns, so time-driven decisions
+        stay byte-deterministic.
         """
         return self._txn_clock if self._began else 0.0
 
@@ -354,8 +361,6 @@ class ClusterSimulator:
     def inject(self, event: tuple) -> None:
         """Push one raw ``(time, kind, tiebreak, payload)`` event."""
         self.begin()
-        if event[1] != CLIENT_READY:
-            self._general_events += 1
         heappush(self._events, event)
 
     def submit_request(
@@ -515,97 +520,8 @@ class ClusterSimulator:
 
     # ------------------------------------------------------------------
     def _run_events(self, deadline_ms: float, limit: float = _INF) -> None:
-        events = self._events
-        # Revive parked closed-loop clients once budget is available again.
-        # Revival happens at the current simulated time (never in the past)
-        # so the completion stream stays ordered by end time.
-        if self._parked and self._submitted < self._budget:
-            now = self._now
-            for ready, client_id in self._parked:
-                heappush(
-                    events,
-                    (ready if ready > now else now, CLIENT_READY, client_id, None),
-                )
-            self._parked.clear()
-        need_estimates, gate_on_partitions = self._mode()
-        if (
-            self.admission is None
-            and self.tenancy is None
-            and not gate_on_partitions
-            and self._general_events == 0
-            and deadline_ms == _INF
-        ):
-            # Pass-through fast path: dispatch follows submission immediately
-            # (no capacity gate can block it), so each client's completion is
-            # folded into its next CLIENT_READY event — one heap entry per
-            # transaction.  Submissions still go through the scheduler, so
-            # the policy orders them and the stats stay live.
-            self._run_fast(limit)
-        else:
-            self._run_general(deadline_ms, limit, need_estimates, gate_on_partitions)
-
-    def _run_fast(self, limit: float = _INF) -> None:
-        events = self._events
-        partition_free = self._partition_free
-        breakdown_acc = self._breakdown_acc
-        latencies = self._latencies
-        completions = self._completions
-        counters = self._counters
-        parked = self._parked
-        num_nodes = self._num_nodes
-        think = self.config.client_think_time_ms
-        budget = self._budget
-        submitted = self._submitted
-        now = self._now
-        replay = self._replay_timing
-        account = self._account_record
-        scheduler_submit = self.scheduler.submit
-        scheduler_pop = self.scheduler.pop
-        record_zero_wait = self.scheduler.record_zero_wait
-        next_request = self.generator.next_request
-        execute = self.coordinator.execute_transaction
-        processed = 0
-        while events and processed < limit:
-            processed += 1
-            now, _, client_id, payload = heappop(events)
-            if payload is not None:
-                completions.append(payload)
-            if submitted >= budget:
-                parked.append((now, client_id))
-                continue
-            submitted += 1
-            raw = next_request()
-            request = ProcedureRequest(
-                raw.procedure, raw.parameters, client_id, client_id % num_nodes
-            )
-            # need_estimates is necessarily False here: this path runs
-            # only without admission control and with a non-predictive
-            # policy, so submissions carry no estimate.
-            pending = scheduler_submit(request)
-            pending.submit_time_ms = now
-            pending = scheduler_pop()
-            # Dispatch follows submission immediately on this path.
-            record_zero_wait(pending.request.procedure)
-            self._txn_clock = now
-            record = execute(pending.request)
-            end = replay(record, now, partition_free, breakdown_acc)
-            latencies.append(end - pending.submit_time_ms)
-            account(record, counters)
-            heappush(
-                events,
-                (end + think, CLIENT_READY, pending.request.client_id,
-                 (end, record.committed)),
-            )
-        self._submitted = submitted
-        self._now = now
-
-    def _run_general(
-        self,
-        deadline_ms: float,
-        limit: float,
-        need_estimates: bool,
-        gate_on_partitions: bool,
-    ) -> None:
+        """The event loop: process up to ``limit`` events, stopping early
+        when the heap drains or the next event passes ``deadline_ms``."""
         events = self._events
         scheduler = self.scheduler
         admission = self.admission
@@ -616,6 +532,29 @@ class ClusterSimulator:
         budget = self._budget
         submitted = self._submitted
         now = self._now
+        # Revive parked closed-loop clients once budget is available again.
+        # Revival happens at the current simulated time (never in the past)
+        # so the completion stream stays ordered by end time.
+        if parked and submitted < budget:
+            for ready, client_id in parked:
+                heappush(
+                    events,
+                    (ready if ready > now else now, CLIENT_READY, client_id, None),
+                )
+            parked.clear()
+        need_estimates, gate_on_partitions = self._mode()
+        # A closed-loop completion may be folded into its client's next
+        # CLIENT_READY event (one heap entry per transaction) only when
+        # nothing observes the completion instant itself: no partition gate,
+        # quota or admission limit waits for the capacity it frees, and no
+        # deadline can pause the run between the two (a paused core reports
+        # its TXN_COMPLETE events as in flight).
+        fold = (
+            not gate_on_partitions
+            and admission is None
+            and self.tenancy is None
+            and deadline_ms == _INF
+        )
         processed = 0
         while events and processed < limit:
             if events[0][0] > deadline_ms:
@@ -623,9 +562,9 @@ class ClusterSimulator:
             processed += 1
             now, kind, tiebreak, payload = heappop(events)
             if kind == CLIENT_READY:
-                # A fast-path CLIENT_READY carries its client's previous
-                # completion folded into the payload; record it before the
-                # budget check, exactly as the fast path does.
+                # A folded CLIENT_READY carries its client's previous
+                # completion; record it before the budget check, so a parked
+                # client's last transaction still counts.
                 if payload is not None:
                     completions.append(payload)
                 if submitted >= budget:
@@ -637,9 +576,8 @@ class ClusterSimulator:
                     raw.procedure, raw.parameters, tiebreak, tiebreak % self._num_nodes
                 )
                 self._submit_pending(request, now, need_estimates)
-                self._drain(now, gate_on_partitions)
+                self._drain(now, gate_on_partitions, fold)
             elif kind == TXN_COMPLETE:
-                self._general_events -= 1
                 client_id, was_committed, pending, _record = payload
                 if admission is not None:
                     admission.release_if_admitted(pending)
@@ -649,20 +587,18 @@ class ClusterSimulator:
                 if not pending.external:
                     heappush(events, (now + think, CLIENT_READY, client_id, None))
                 if scheduler:
-                    self._drain(now, gate_on_partitions)
+                    self._drain(now, gate_on_partitions, fold)
             elif kind == EXTERNAL_SUBMIT:
-                self._general_events -= 1
                 request, tenant = payload
                 self._submit_pending(
                     request, now, need_estimates, external=True, tenant=tenant
                 )
-                self._drain(now, gate_on_partitions)
+                self._drain(now, gate_on_partitions, fold)
             else:  # PARTITION_RELEASE
-                self._general_events -= 1
                 if next_wakeup[0] <= now:
                     next_wakeup[0] = _INF
                 if scheduler:
-                    self._drain(now, gate_on_partitions)
+                    self._drain(now, gate_on_partitions, fold)
         self._submitted = submitted
         self._now = now
 
@@ -706,7 +642,9 @@ class ClusterSimulator:
                 return None
         pending = self.scheduler.submit(request, estimate,
                                         base_partition=base_partition, tenant=tenant)
-        if not any(p < self._num_partitions for p in pending.predicted_partitions):
+        # predicted_partitions is sorted: ungated when none is in range.
+        parts = pending.predicted_partitions
+        if not parts or parts[0] >= self._num_partitions:
             self._ungated_queued += 1
         pending.submit_time_ms = now
         pending.external = external
@@ -725,8 +663,14 @@ class ClusterSimulator:
             self._tenant_acc[tenant] = acc
         return acc
 
-    def _drain(self, now: float, gate_on_partitions: bool) -> None:
-        """Dispatch every queued transaction that may start at ``now``."""
+    def _drain(self, now: float, gate_on_partitions: bool, fold: bool) -> None:
+        """Dispatch every queued transaction that may start at ``now``.
+
+        This is the simulator's only dispatch site.  With ``fold`` a
+        closed-loop transaction's completion is pushed as its client's next
+        ``CLIENT_READY`` event instead of a ``TXN_COMPLETE`` (see
+        :meth:`_run_events`).
+        """
         scheduler = self.scheduler
         admission = self.admission
         events = self._events
@@ -737,6 +681,7 @@ class ClusterSimulator:
         breakdown_acc = self._breakdown_acc
         next_wakeup = self._next_wakeup
         redirect_ms = self.cost_model.redirect_ms
+        think = self.config.client_think_time_ms
         execute = self.coordinator.execute_transaction
         tenancy = self.tenancy
         quota = tenancy.quota if tenancy is not None else None
@@ -752,7 +697,6 @@ class ClusterSimulator:
             if busy_until > now:
                 if busy_until < next_wakeup[0]:
                     next_wakeup[0] = busy_until
-                    self._general_events += 1
                     heappush(events, (busy_until, PARTITION_RELEASE, 0, None))
                 return
         blocked: list = []
@@ -786,9 +730,8 @@ class ClusterSimulator:
                     continue
                 if decision is AdmissionDecision.REJECT:
                     scheduler.note_rejected(pending)
-                    if not any(
-                        p < num_partitions for p in pending.predicted_partitions
-                    ):
+                    parts = pending.predicted_partitions
+                    if not parts or parts[0] >= num_partitions:
                         self._ungated_queued -= 1
                     counters["rejected"] += 1
                     if pending.tenant is not None:
@@ -805,7 +748,8 @@ class ClusterSimulator:
                     continue
             if quota is not None:
                 quota.admit(pending)
-            if not any(p < num_partitions for p in pending.predicted_partitions):
+            parts = pending.predicted_partitions
+            if not parts or parts[0] >= num_partitions:
                 self._ungated_queued -= 1
             scheduler.note_dispatched(pending)
             scheduler.record_wait(pending.request.procedure, now - pending.submit_time_ms)
@@ -826,13 +770,19 @@ class ClusterSimulator:
                 else:
                     acc["user_aborted"] += 1
                 acc["restarts"] += record.restarts
-            self._complete_seq += 1
-            self._general_events += 1
-            heappush(
-                events,
-                (end, TXN_COMPLETE, self._complete_seq,
-                 (pending.request.client_id, record.committed, pending, record)),
-            )
+            if fold and not pending.external:
+                heappush(
+                    events,
+                    (end + think, CLIENT_READY, pending.request.client_id,
+                     (end, record.committed)),
+                )
+            else:
+                self._complete_seq += 1
+                heappush(
+                    events,
+                    (end, TXN_COMPLETE, self._complete_seq,
+                     (pending.request.client_id, record.committed, pending, record)),
+                )
             if gate_on_partitions and not self._ungated_queued and scheduler:
                 # The dispatch may have re-saturated the cluster; once every
                 # partition is busy again (and nothing ungated is queued)
@@ -850,7 +800,6 @@ class ClusterSimulator:
             scheduler.requeue(pending)
         if blocked_until != _INF and blocked_until < next_wakeup[0]:
             next_wakeup[0] = blocked_until
-            self._general_events += 1
             heappush(events, (blocked_until, PARTITION_RELEASE, 0, None))
 
     # ------------------------------------------------------------------
@@ -861,11 +810,12 @@ class ClusterSimulator:
 
         Executing entries are ``TXN_COMPLETE`` events whose simulated end
         lies at or beyond ``now`` (ordered by end time); queued entries are
-        the scheduler's backlog in dispatch order.  Fast-path (pure FCFS)
-        driving folds completions into client events and dispatches
-        instantaneously, so it never leaves executing entries behind —
-        pausing mid-flight happens through ``run_for(sim_seconds=...)``,
-        which always runs the general loop.
+        the scheduler's backlog in dispatch order.  A transaction whose
+        completion was folded into its client's next event (see
+        :meth:`_run_events`) is not listed.  Folding needs an unbounded
+        deadline, so a ``run_for(sim_seconds=...)`` pause always leaves
+        ``TXN_COMPLETE`` events behind; only a core paused by :meth:`step`
+        under pass-through FCFS can hold unlisted work.
         """
         self.begin()
         now = self._now
@@ -1089,12 +1039,14 @@ class ClusterSimulator:
 
         ``completions`` is produced by ``TXN_COMPLETE`` events, i.e. already
         ordered by end time — one linear pass, no sort.  The one exception:
-        the FCFS fast path records a completion when its *folded* follow-up
-        event pops (at ``end + think``), so switching from fast to general
-        mode mid-heap with a non-zero think time can interleave a general
-        completion (recorded at ``end``) before an earlier folded one.  A
-        linear scan detects that rare case and restores order with a stable
-        sort on end time (batch runs never take it, keeping them exact).
+        a *folded* completion is recorded when its client's follow-up event
+        pops (at ``end + think``).  With a non-zero think time, when folded
+        and ``TXN_COMPLETE`` completions share the heap — out-of-loop
+        submissions, or a deadline or reconfiguration between drives — a
+        completion recorded at ``end`` can land before an earlier folded
+        one.  A linear scan
+        detects that rare case and restores order with a stable sort on end
+        time (batch runs never take it, keeping them exact).
 
         In streaming mode the completions live in a bounded
         :class:`CompletionWindow` histogram (order-insensitive), which

@@ -194,13 +194,6 @@ class TenantScheduler(TransactionScheduler):
         return self._tenant_queues[label][subkey][0][2]
 
     # ------------------------------------------------------------------
-    def resubmit(self, pending: PendingTransaction) -> None:
-        self._repush = True
-        try:
-            super().resubmit(pending)
-        finally:
-            self._repush = False
-
     def requeue(self, pending: PendingTransaction) -> None:
         self._repush = True
         try:

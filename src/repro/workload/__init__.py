@@ -36,10 +36,9 @@ models:
     million logical users cost O(#cohorts) state — the scale mode's
     workload shape.
 
-With numpy available, open-loop arrival timestamps are generated in
-vectorized batches (:mod:`repro.workload.vectorized`) that are
-byte-identical to the scalar stream — the same seed always yields the same
-arrivals either way.
+Open-loop arrival timestamps are generated in numpy batches
+(:mod:`repro.workload.vectorized`), byte-identical to accumulating the
+iterator-form gap stream — the same seed always yields the same arrivals.
 
 Sources validate strictly, round-trip through ``to_dict`` /
 ``from_dict`` like the rest of :class:`~repro.session.ClusterSpec`, and

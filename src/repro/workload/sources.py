@@ -374,50 +374,27 @@ class OpenLoopSource(WorkloadSource):
     def compile(self, ctx: CompileContext, *, _tenant: str | None = None) -> CompiledSource:
         generator = ctx.make_generator(self.seed)
         gap_seed = ctx.seed * 31 + self.seed
-        if _vectorized.HAVE_NUMPY:
-            # Vectorized path: timestamps arrive in pre-built batches; each
-            # batch pairs time i with the generator's request i, exactly as
-            # the scalar loop below would (the streams are independent, so
-            # the pairing — and therefore the arrival stream — is identical).
-            time_chunks = _vectorized.arrival_time_chunks(
-                self.arrival, self.rate_per_sec,
-                seed=gap_seed, burst_size=self.burst_size,
-                chunk_size=_ARRIVAL_CHUNK, limit=self.limit,
-            )
-
-            def chunk_stream() -> Iterator[list[Arrival]]:
-                next_request = generator.next_request
-                for times in time_chunks:
-                    chunk = []
-                    append = chunk.append
-                    for at in times:
-                        raw = next_request()
-                        append(Arrival(
-                            at, ProcedureRequest(raw.procedure, raw.parameters), _tenant
-                        ))
-                    yield chunk
-
-            return CompiledSource(chunks=chunk_stream())
-
-        gaps = arrival_gaps(
+        # Timestamps arrive in pre-built batches; each batch pairs time i
+        # with the generator's request i (the two streams are independent).
+        time_chunks = _vectorized.arrival_time_chunks(
             self.arrival, self.rate_per_sec,
             seed=gap_seed, burst_size=self.burst_size,
+            chunk_size=_ARRIVAL_CHUNK, limit=self.limit,
         )
 
-        def stream() -> Iterator[Arrival]:
-            clock = 0.0
-            emitted = 0
-            for gap in gaps:
-                clock += gap
-                raw = generator.next_request()
-                yield Arrival(
-                    clock, ProcedureRequest(raw.procedure, raw.parameters), _tenant
-                )
-                emitted += 1
-                if self.limit is not None and emitted >= self.limit:
-                    return
+        def chunk_stream() -> Iterator[list[Arrival]]:
+            next_request = generator.next_request
+            for times in time_chunks:
+                chunk = []
+                append = chunk.append
+                for at in times:
+                    raw = next_request()
+                    append(Arrival(
+                        at, ProcedureRequest(raw.procedure, raw.parameters), _tenant
+                    ))
+                yield chunk
 
-        return CompiledSource(stream())
+        return CompiledSource(chunks=chunk_stream())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OpenLoopSource) and self.to_dict() == other.to_dict()
@@ -915,7 +892,7 @@ def arrival_gaps(
     *,
     seed: int = 0,
     burst_size: int = 8,
-    vectorized: bool | None = None,
+    vectorized: bool = True,
 ) -> Iterator[float]:
     """Infinite inter-arrival gaps (ms) for one arrival process.
 
@@ -923,12 +900,11 @@ def arrival_gaps(
     fully determined by ``seed`` — the property every replay/determinism
     contract in this package leans on.
 
-    With numpy installed, Poisson gaps are drawn in batches through the
-    vectorized kernel (the canonical stream; see
-    :mod:`repro.workload.vectorized`), so iterator consumers and chunked
-    consumers observe byte-identical gaps.  ``vectorized`` forces the
-    choice for testing: ``False`` selects the pure-Python ``math.log``
-    fallback, which consumes the identical uniform draws and matches the
+    Poisson gaps are drawn in batches through the vectorized kernel (the
+    canonical stream; see :mod:`repro.workload.vectorized`), so iterator
+    consumers and chunked consumers observe byte-identical gaps.
+    ``vectorized=False`` selects the pure-Python ``math.log`` reference
+    path, which consumes the identical uniform draws and matches the
     kernel's gaps to within one ulp of the log.
     """
     if rate_per_sec <= 0:
@@ -941,8 +917,7 @@ def arrival_gaps(
         return uniform()
     if process == "poisson":
         rng = WorkloadRandom(seed)
-        use_kernel = _vectorized.HAVE_NUMPY if vectorized is None else vectorized
-        if use_kernel:
+        if vectorized:
             def poisson_batched() -> Iterator[float]:
                 core = rng.core
                 while True:
@@ -980,18 +955,17 @@ def arrival_times(
     *,
     seed: int = 0,
     burst_size: int = 8,
-    vectorized: bool | None = None,
+    vectorized: bool = True,
 ) -> list[float]:
     """The first ``count`` absolute arrival times (ms) of a process.
 
-    Uses the vectorized kernel in one shot when numpy is available (byte-
-    identical to accumulating :func:`arrival_gaps`); ``vectorized=False``
-    forces the scalar accumulation for testing and numpy-less hosts.
+    Uses the vectorized kernel in one shot (byte-identical to accumulating
+    :func:`arrival_gaps`); ``vectorized=False`` selects the scalar
+    accumulation, the tests' reference.
     """
     if count < 0:
         raise WorkloadError("count must be non-negative")
-    use_kernel = _vectorized.HAVE_NUMPY if vectorized is None else vectorized
-    if use_kernel:
+    if vectorized:
         return _vectorized.vectorized_arrival_times(
             process, rate_per_sec, count, seed=seed, burst_size=burst_size
         )

@@ -116,15 +116,15 @@ class TestAgingBoundsStarvation:
 
 
 class TestRequeueSemantics:
-    def test_resubmit_counts_a_deferral_requeue_does_not(self):
+    def test_requeue_does_not_count_a_deferral(self):
         scheduler = TransactionScheduler()
         scheduler.submit(ProcedureRequest.of("P", (0,)))
         pending = scheduler.pop()
-        scheduler.resubmit(pending)
-        assert pending.deferrals == 1
+        scheduler.requeue(pending)
+        assert pending.deferrals == 0
         pending = scheduler.pop()
         scheduler.requeue(pending)
-        assert pending.deferrals == 1
+        assert pending.deferrals == 0
         assert scheduler.stats.requeued == 2
         assert scheduler.stats.dispatched == 0
 

@@ -119,12 +119,12 @@ class TestSchedulerPolicies:
         scheduler.submit(ProcedureRequest.of("Local", (1,)), _estimate([[0]]))
         assert scheduler.pop().procedure == "Local"
 
-    def test_resubmit_counts_deferral(self):
+    def test_requeue_returns_the_entry_without_a_deferral(self):
         scheduler = TransactionScheduler()
         pending = scheduler.submit(ProcedureRequest.of("P", (0,)))
         popped = scheduler.pop()
-        scheduler.resubmit(popped)
-        assert popped.deferrals == 1
+        scheduler.requeue(popped)
+        assert popped.deferrals == 0
         assert len(scheduler) == 1
         assert pending is popped
 

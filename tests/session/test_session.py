@@ -586,9 +586,10 @@ class TestSessionLifecycle:
         session.close()
 
     def test_mode_switch_with_think_time_keeps_windows_sane(self):
-        """Fast-path folded completions left mid-heap by step() record at
-        end+think; after a live policy swap the general loop's completions
-        interleave — the warm-up finalization must restore end-time order."""
+        """Folded completions left mid-heap by step() record at end+think;
+        after a live swap to a predictive policy dispatch stops folding, the
+        TXN_COMPLETE completions (recorded at end) interleave with them, and
+        the warm-up finalization must restore end-time order."""
         artifacts = pipeline.train("tatp", 4, trace_transactions=200, seed=3)
         session = Cluster.open(
             ClusterSpec(benchmark="tatp", num_partitions=4, strategy="houdini",
@@ -596,7 +597,7 @@ class TestSessionLifecycle:
             artifacts=artifacts,
         )
         session.simulator.extend_budget(60)
-        for _ in range(40):  # partial fast-path drive leaves folded payloads
+        for _ in range(40):  # a partial FCFS drive leaves folded payloads
             session.step()
         session.reconfigure(policy="shortest-predicted")
         result = session.run_for(txns=60)

@@ -10,6 +10,9 @@ implementation.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro import pipeline
@@ -258,6 +261,32 @@ class TestSchedulingIntegration:
         assert result.admission_stats.deferred > 0
         assert result.rejected == 0
 
+    def test_admission_deferral_counts_on_the_deferred_transaction(self):
+        """Every admission DEFER bumps the deferred transaction's counter
+        (the input of the ``max_deferrals`` rejection budget and of aging)."""
+        from repro.session import Cluster, ClusterSpec
+
+        artifacts = pipeline.train("tatp", 4, trace_transactions=150, seed=5)
+        session = Cluster.open(
+            ClusterSpec(
+                benchmark="tatp", num_partitions=4,
+                admission=AdmissionLimits(max_in_flight=1, max_deferrals=10_000),
+            ),
+            artifacts=artifacts,
+        )
+        simulator = session.simulator
+        simulator.extend_budget(60)
+        # A deferred transaction is requeued by the drain that deferred it,
+        # so it is queued when the step returns.
+        seen = {}
+        while session.step():
+            for pending in simulator.scheduler.pending_transactions():
+                seen[id(pending)] = pending
+        deferred = simulator.admission.stats.deferred
+        assert deferred > 0
+        assert sum(pending.deferrals for pending in seen.values()) == deferred
+        session.close()
+
     def test_admission_rejection_backs_the_client_off(self):
         artifacts = pipeline.train("smallbank", 4, trace_transactions=400, seed=5)
         strategy = pipeline.make_strategy("houdini", artifacts)
@@ -280,7 +309,7 @@ class TestSchedulingIntegration:
 
 
 # ----------------------------------------------------------------------
-# The two inline loops agree
+# Folded completions agree with TXN_COMPLETE completions
 # ----------------------------------------------------------------------
 _LOOP_STRATEGIES = (
     "assume-distributed",
@@ -291,61 +320,176 @@ _LOOP_STRATEGIES = (
 )
 
 
-def _open_session(bench_name, strategy_name, *, seed, think=0.0):
+def _open_session(bench_name, strategy_name, *, seed, think=0.0, **spec):
     from repro.session import Cluster, ClusterSpec
 
     artifacts = pipeline.train(bench_name, 4, trace_transactions=150, seed=seed)
     return Cluster.open(
         ClusterSpec(
-            benchmark=bench_name, num_partitions=4, client_think_time_ms=think
+            benchmark=bench_name, num_partitions=4, client_think_time_ms=think,
+            **spec,
         ),
         artifacts=artifacts,
         strategy=pipeline.make_strategy(strategy_name, artifacts),
     )
 
 
-def _drive(simulator, txns, *, general):
+def _drive(simulator, txns, *, folded):
     """Grant ``txns`` submissions and run to quiescence.
 
-    Any finite deadline keeps the pass-through fast loop out of the way, so
-    ``general=True`` drives the same budget through the general event loop.
+    ``run_until()`` folds each closed-loop completion into its client's next
+    ``CLIENT_READY`` event.  Any finite deadline turns the fold off, so
+    ``folded=False`` drives the same budget through ``TXN_COMPLETE`` events.
     """
     simulator.extend_budget(txns)
-    if general:
-        simulator.run_until(deadline_ms=1e300)
-    else:
+    if folded:
         simulator.run_until()
+    else:
+        simulator.run_until(deadline_ms=1e300)
 
 
-class TestFastAndGeneralLoopsAgree:
-    """Under FCFS without admission or tenancy the simulator may take either
-    event loop; the choice must never show in the result."""
+class TestFoldedCompletionsAgree:
+    """Under FCFS without admission or tenancy, dispatch may fold a
+    completion into its client's next event or push a ``TXN_COMPLETE``;
+    the choice must never show in the result."""
 
     @pytest.mark.parametrize("bench_name", ["tatp", "tpcc", "smallbank"])
     @pytest.mark.parametrize("strategy_name", _LOOP_STRATEGIES)
-    def test_fast_loop_equals_general_loop(self, bench_name, strategy_name):
-        def run(general):
+    def test_folded_completions_equal_txn_complete_events(
+        self, bench_name, strategy_name
+    ):
+        def run(folded):
             session = _open_session(bench_name, strategy_name, seed=17)
-            _drive(session.simulator, 300, general=general)
+            _drive(session.simulator, 300, folded=folded)
             return session.close().to_dict()
 
-        assert run(general=False) == run(general=True)
+        assert run(folded=True) == run(folded=False)
 
     @pytest.mark.parametrize("think", [0.0, 0.5])
-    def test_out_of_loop_submit_between_fast_stretches(self, think):
-        """Fast loop, then an out-of-loop submit (forcing the general loop),
-        then a further stretch: identical to driving everything through the
-        general loop, including the submitted transaction's accounting."""
+    def test_out_of_loop_submit_between_folded_stretches(self, think):
+        """A folded stretch, then an out-of-loop submit (whose completion is
+        a ``TXN_COMPLETE`` event), then a further stretch: identical to
+        driving everything through ``TXN_COMPLETE`` events, including the
+        submitted transaction's accounting."""
 
-        def scripted(general):
+        def scripted(folded):
             session = _open_session("tatp", "houdini", seed=11, think=think)
             simulator = session.simulator
-            _drive(simulator, 400, general=general)
+            _drive(simulator, 400, folded=folded)
             raw = simulator.generator.next_request()
             session.submit(ProcedureRequest(raw.procedure, raw.parameters, 0, 0))
-            _drive(simulator, 150, general=general)
+            _drive(simulator, 150, folded=folded)
             return session.close()
 
-        fast, general = scripted(general=False), scripted(general=True)
-        assert fast.to_dict() == general.to_dict()
-        assert fast.total_transactions == 551
+        folded, unfolded = scripted(folded=True), scripted(folded=False)
+        assert folded.to_dict() == unfolded.to_dict()
+        assert folded.total_transactions == 551
+
+
+# ----------------------------------------------------------------------
+# Pinned result digests
+# ----------------------------------------------------------------------
+def _seeded_run(bench_name, strategy_name="houdini", **spec):
+    """300 transactions at seed 17 on 4 partitions, drained by close()."""
+    session = _open_session(bench_name, strategy_name, seed=17, **spec)
+    session.run_for(txns=300)
+    return session.close().to_dict()
+
+
+def _tenancy_run():
+    from repro.tenancy import TenancyConfig, TenantPolicy
+    from repro.workload import OpenLoopSource, TenantSource
+
+    return _seeded_run(
+        "tatp",
+        workload=TenantSource({
+            "gold": OpenLoopSource(400.0, "poisson", seed=17),
+            "free": OpenLoopSource(1200.0, "poisson", seed=17),
+        }),
+        tenancy=TenancyConfig(
+            tenants={
+                "gold": TenantPolicy(weight=4.0, slo_latency_ms=20.0),
+                "free": TenantPolicy(weight=1.0, slo_latency_ms=40.0),
+            },
+            shed=True,
+        ),
+    )
+
+
+def _paused_run():
+    """A closed loop paused mid-flight, its in-flight view, then drained."""
+    session = _open_session("tatp", "houdini", seed=17)
+    paused = session.run_for(sim_seconds=0.1)
+    return {
+        "paused": paused.to_dict(),
+        "in_flight": [entry.to_dict() for entry in session.in_flight()],
+        "closed": session.close().to_dict(),
+    }
+
+
+DIGEST_RUNS = {
+    **{
+        f"{bench}-{strategy}": (lambda b=bench, s=strategy: _seeded_run(b, s))
+        for bench in ("tatp", "tpcc", "smallbank")
+        for strategy in _LOOP_STRATEGIES
+    },
+    "tatp-predictive": lambda: _seeded_run("tatp", policy="shortest-predicted"),
+    "tatp-admission": lambda: _seeded_run("tatp", admission={"max_in_flight": 8}),
+    "tatp-tenancy": _tenancy_run,
+    "tatp-paused": _paused_run,
+}
+
+
+def result_digest(run: str) -> str:
+    payload = json.dumps(DIGEST_RUNS[run](), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+#: sha256 of each run's ``to_dict()`` JSON (sorted keys), captured from the
+#: simulator that still had a separate pass-through FCFS loop.
+GOLDEN_DIGESTS = {
+    "smallbank-assume-distributed":
+        "f27efe1aaf5b7e679af3982df63ebc983c2618cf29b6802fd978fd3fd31cd8fe",
+    "smallbank-assume-single-partition":
+        "038d5f9a9912bce96c9ab5665064d210ac729e38de40331a057cad779f7530ed",
+    "smallbank-houdini":
+        "f032d6a535e6903a57b941428e68aa340894e75a9cf666e0a98e5db215a6705a",
+    "smallbank-houdini-partitioned":
+        "9ebb5d3b89c09d1490ea182903732d4afe358cb801fe46c45e776d7ff485a829",
+    "smallbank-oracle":
+        "caaab7634063bd06081856a71b0b2a8d3a3a2a11015c9fa3a5af19e8a79b82c3",
+    "tatp-admission":
+        "caf1c61db9829fc413aa2eea186d3484acfd7825801cd230501729e777c85a70",
+    "tatp-assume-distributed":
+        "cee20a24bd5f93f54b9f3ec3cb3d1090b4826cfed6e64ae6913be0fe79cf85d3",
+    "tatp-assume-single-partition":
+        "458088c982ba5e79a82304666bbbf6a37decf7725cf2b6a1961c8f6a6ac766f7",
+    "tatp-houdini":
+        "b13399536d7b860c27d73dd571f238cbb86a76c4b73ae96612532bea8423f7cd",
+    "tatp-houdini-partitioned":
+        "0470420231ec7aaa01501bbffbadbbeb4a4bc8532ead47c06d803a9ad4d6ae7f",
+    "tatp-oracle":
+        "df096aa21fabba802352cf82061f1bff4d9d2bf7e5d73bb60aceeccf5ceaa1f6",
+    "tatp-paused":
+        "285c473488cd2cc69ea593ab73ba20cb4e07aaab3d3822fb0579250a3fd85ade",
+    "tatp-predictive":
+        "ad2a28afb8f94e99a41c5123390053cc1778c7aeffae7f5e4b1513d4994eacb2",
+    "tatp-tenancy":
+        "0cfac2714f5674b18b703bd4654ee2d2e1953ce3713a4045fa07cc33b5367936",
+    "tpcc-assume-distributed":
+        "a2c8a03beb52d297afd7e551e748b0674f4d84554e5e74334283d78333b5c640",
+    "tpcc-assume-single-partition":
+        "7472f9d1ef95eece11530fd11b6a261bbb8a34ffd9f226d385c7d64eaa14e4ac",
+    "tpcc-houdini":
+        "dc8452a4dbbc52e9480c8710807e0e733f355d3660ad87bf0cbd202a10be695a",
+    "tpcc-houdini-partitioned":
+        "ebf9e1a6c393f64fb4a02157fbe9e2711f1bd722e53ff470d8da9717bf0ec479",
+    "tpcc-oracle":
+        "702f49ee0c833dc62ea82db9ff766a4b351804cdf1ab6948b9a3bc70463220cd",
+}
+
+
+@pytest.mark.parametrize("run", sorted(DIGEST_RUNS))
+def test_result_digest_is_pinned(run):
+    """Seeded runs reproduce their pinned results byte for byte."""
+    assert result_digest(run) == GOLDEN_DIGESTS[run]
