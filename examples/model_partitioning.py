@@ -35,15 +35,18 @@ def main() -> None:
             print(f"  {name:38s} = {value}")
 
     print("\n== Feed-forward feature selection for GetUserInfo (Section 5.2) ==")
+    # Training places each record's replicated reads at its home partition;
+    # the accuracy evaluation below must do the same.
+    base_chooser = lambda record: instance.generator.home_partition(  # noqa: E731
+        ProcedureRequest(record.procedure, record.parameters)
+    )
     partitioner = ModelPartitioner(
         instance.catalog,
         artifacts.mappings,
         houdini_config=config,
         config=PartitionerConfig(feature_selection="feedforward", max_rounds=2,
                                  max_test_records=200, max_clusters=4),
-        base_partition_chooser=lambda record: instance.generator.home_partition(
-            ProcedureRequest(record.procedure, record.parameters)
-        ),
+        base_partition_chooser=base_chooser,
     )
     records = artifacts.trace.for_procedure("GetUserInfo")
     candidates = extractor.informative_definitions([r.parameters for r in records[:200]])
@@ -73,7 +76,10 @@ def main() -> None:
     ):
         houdini = Houdini(instance.catalog, model_provider, artifacts.mappings,
                           config, learning=False)
-        report = AccuracyEvaluator(houdini, label=label).evaluate(held_out)
+        evaluator = AccuracyEvaluator(
+            houdini, label=label, base_partition_chooser=base_chooser
+        )
+        report = evaluator.evaluate(held_out)
         print(f"  {label:12s} {report.as_row()}")
 
 

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..houdini.houdini import Houdini
-from ..markov.builder import MarkovModelBuilder
+from ..markov.builder import MarkovModelBuilder, TraceBaseChooser
 from ..types import ProcedureRequest
 from ..workload.trace import TransactionTraceRecord, WorkloadTrace
 
@@ -158,7 +158,16 @@ class AccuracyReport:
 class AccuracyEvaluator:
     """Compares Houdini's estimates against actual execution paths."""
 
-    def __init__(self, houdini: Houdini, *, label: str = "") -> None:
+    def __init__(
+        self,
+        houdini: Houdini,
+        *,
+        label: str = "",
+        base_partition_chooser: TraceBaseChooser | None = None,
+    ) -> None:
+        """``base_partition_chooser`` must be the one the models were trained
+        with: it locates each record's replicated-table reads, so a different
+        chooser judges the estimates against a path the models never saw."""
         if houdini.learning:
             raise ValueError(
                 "accuracy evaluation requires a non-learning Houdini instance "
@@ -166,7 +175,9 @@ class AccuracyEvaluator:
             )
         self.houdini = houdini
         self.label = label
-        self._builder = MarkovModelBuilder(houdini.catalog)
+        self._builder = MarkovModelBuilder(
+            houdini.catalog, base_partition_chooser=base_partition_chooser
+        )
 
     # ------------------------------------------------------------------
     def evaluate(self, trace: WorkloadTrace) -> AccuracyReport:

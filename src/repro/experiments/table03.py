@@ -86,7 +86,9 @@ def run_table03(scale: ExperimentScale | None = None) -> Table3Result:
             houdini = Houdini(
                 instance.catalog, provider, artifacts.mappings, config, learning=False
             )
-            evaluator = AccuracyEvaluator(houdini, label=f"{benchmark}:{label}")
+            evaluator = AccuracyEvaluator(
+                houdini, label=f"{benchmark}:{label}", base_partition_chooser=base_chooser
+            )
             result.reports[benchmark][label] = evaluator.evaluate(testing)
     return result
 

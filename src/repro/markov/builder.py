@@ -92,17 +92,24 @@ class MarkovModelBuilder:
     # ------------------------------------------------------------------
     def build(self, trace: WorkloadTrace) -> dict[str, MarkovModel]:
         """Build models for every procedure present in ``trace``."""
-        models: dict[str, MarkovModel] = {}
-        for procedure_name in trace.procedures:
-            models[procedure_name] = self.build_for_procedure(trace, procedure_name)
-        return models
+        return {
+            procedure_name: self._build_model(procedure_name, records)
+            for procedure_name, records in trace.by_procedure().items()
+        }
 
     def build_for_procedure(
         self, trace: WorkloadTrace, procedure_name: str
     ) -> MarkovModel:
         """Build (and process) the model for one procedure."""
+        return self._build_model(
+            procedure_name, (r for r in trace if r.procedure == procedure_name)
+        )
+
+    def _build_model(
+        self, procedure_name: str, records: Iterable[TransactionTraceRecord]
+    ) -> MarkovModel:
         model = MarkovModel(procedure_name, self.catalog.num_partitions)
-        self.extend(model, (r for r in trace if r.procedure == procedure_name))
+        self.extend(model, records)
         model.process(precompute_tables=self.precompute_tables)
         return model
 

@@ -137,21 +137,45 @@ class ProbabilityTable:
         num_partitions: int,
         children: list[tuple[float, "ProbabilityTable"]],
     ) -> "ProbabilityTable":
-        """Combine children tables weighted by their edge probabilities."""
-        table = ProbabilityTable(num_partitions)
+        """Combine children tables weighted by their edge probabilities.
+
+        Each field is ``(0 + w1*x1 + w2*x2 + ...) / (0 + w1 + w2 + ...)``,
+        accumulated left to right in ``children`` order from the int ``0``.
+        That summation order is part of the byte-identity contract: trained
+        tables, and every decision derived from them, are pinned bit for bit
+        by digests, and reordering (or compensated summation, which the
+        builtin ``sum`` of floats uses from Python 3.12 on) changes the last
+        bits.
+        """
         if not children:
-            return table
-        total_weight = sum(weight for weight, _ in children)
+            return ProbabilityTable(num_partitions)
+        total_weight = 0
+        single_partition = 0
+        abort = 0
+        for weight, child in children:
+            total_weight += weight
+            single_partition += weight * child.single_partition
+            abort += weight * child.abort
         if total_weight <= 0:
-            return table
-        table.single_partition = sum(w * t.single_partition for w, t in children) / total_weight
-        table.abort = sum(w * t.abort for w, t in children) / total_weight
+            return ProbabilityTable(num_partitions)
+        child_partitions = [(weight, child.partitions) for weight, child in children]
+        partitions = []
         for partition_id in range(num_partitions):
-            entry = table.partitions[partition_id]
-            entry.read = sum(w * t.partitions[partition_id].read for w, t in children) / total_weight
-            entry.write = sum(w * t.partitions[partition_id].write for w, t in children) / total_weight
-            entry.finish = sum(w * t.partitions[partition_id].finish for w, t in children) / total_weight
-        return table
+            read = write = finish = 0
+            for weight, entries in child_partitions:
+                entry = entries[partition_id]
+                read += weight * entry.read
+                write += weight * entry.write
+                finish += weight * entry.finish
+            partitions.append(PartitionProbabilities(
+                read / total_weight, write / total_weight, finish / total_weight
+            ))
+        return ProbabilityTable(
+            num_partitions,
+            single_partition / total_weight,
+            abort / total_weight,
+            partitions,
+        )
 
     def copy(self) -> "ProbabilityTable":
         clone = ProbabilityTable(self.num_partitions, self.single_partition, self.abort)

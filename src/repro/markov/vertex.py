@@ -168,6 +168,3 @@ class Edge:
     target: VertexKey
     hits: int = 0
     probability: float = 0.0
-
-    def record_visit(self, count: int = 1) -> None:
-        self.hits += count

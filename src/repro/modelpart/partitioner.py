@@ -107,6 +107,7 @@ class ModelPartitioner:
         self.mappings = mappings
         self.houdini_config = houdini_config or HoudiniConfig()
         self.config = config or PartitionerConfig()
+        self.base_partition_chooser = base_partition_chooser
         self.builder = MarkovModelBuilder(
             catalog, base_partition_chooser=base_partition_chooser
         )
@@ -123,8 +124,8 @@ class ModelPartitioner:
         if global_models is None:
             global_models = self.builder.build(trace)
         clustered: dict[str, ClusteredModels] = {}
-        for procedure_name in trace.procedures:
-            records = trace.for_procedure(procedure_name)
+        for procedure_name, grouped in trace.by_procedure().items():
+            records = WorkloadTrace(grouped)
             if len(records) < self.config.min_records:
                 continue
             bundle = self.partition_procedure(
@@ -298,7 +299,9 @@ class ModelPartitioner:
         houdini = Houdini(
             self.catalog, provider, self.mappings, self.houdini_config, learning=False
         )
-        evaluator = AccuracyEvaluator(houdini)
+        evaluator = AccuracyEvaluator(
+            houdini, base_partition_chooser=self.base_partition_chooser
+        )
         report = evaluator.evaluate(testing)
         if report.transactions == 0:
             return float("inf")

@@ -123,6 +123,17 @@ class WorkloadTrace:
             seen.setdefault(record.procedure, None)
         return tuple(seen)
 
+    def by_procedure(self) -> dict[str, list[TransactionTraceRecord]]:
+        """Records grouped by procedure in one pass, procedures in first-seen
+        order (the order of :attr:`procedures`)."""
+        groups: dict[str, list[TransactionTraceRecord]] = {}
+        for record in self.records:
+            group = groups.get(record.procedure)
+            if group is None:
+                group = groups[record.procedure] = []
+            group.append(record)
+        return groups
+
     def for_procedure(self, procedure: str) -> "WorkloadTrace":
         """Sub-trace containing only the given procedure's transactions."""
         return WorkloadTrace([r for r in self.records if r.procedure == procedure])

@@ -3,9 +3,24 @@
 import pytest
 
 from repro import pipeline
+from repro.catalog import (
+    Catalog,
+    Operation,
+    PartitionScheme,
+    ProcedureParameter,
+    Schema,
+    Statement,
+    StoredProcedure,
+    Table,
+    integer,
+    param,
+)
 from repro.evaluation import AccuracyEvaluator
 from repro.houdini import GlobalModelProvider, Houdini, HoudiniConfig
 from repro.evaluation.accuracy import PENALTY_ABORT, TransactionAccuracy
+from repro.mapping import build_parameter_mappings
+from repro.markov import build_models_from_trace
+from repro.workload.trace import QueryTraceRecord, TransactionTraceRecord, WorkloadTrace
 
 
 class TestTransactionAccuracy:
@@ -61,3 +76,77 @@ class TestAccuracyEvaluator:
         # reproduction should stay in the same neighbourhood.
         assert report.total > 60.0
         assert report.op3 > 95.0
+
+
+class StockLookup(StoredProcedure):
+    """Reads an account, then a row of a replicated table."""
+
+    name = "lookup"
+    parameters = (ProcedureParameter("item_id"), ProcedureParameter("a_id"))
+    statements = {
+        "GetAccount": Statement(
+            name="GetAccount", table="ACCOUNT", operation=Operation.SELECT,
+            where={"A_ID": param(0)},
+        ),
+        "GetItem": Statement(
+            name="GetItem", table="ITEM", operation=Operation.SELECT,
+            where={"I_ID": param(0)},
+        ),
+    }
+
+    def run(self, ctx, item_id, a_id):
+        ctx.execute("GetAccount", [a_id])
+        ctx.execute("GetItem", [item_id])
+
+
+class TestBasePartitionChooser:
+    """The evaluator must place replicated reads where training placed them."""
+
+    def test_training_chooser_locates_replicated_reads(self):
+        schema = Schema()
+        schema.add_table(Table(
+            name="ITEM", columns=[integer("I_ID")], primary_key=["I_ID"], replicated=True,
+        ))
+        schema.add_table(Table(
+            name="ACCOUNT", columns=[integer("A_ID")], primary_key=["A_ID"],
+            partition_column="A_ID",
+        ))
+        catalog = Catalog(schema, PartitionScheme(4, 2), [StockLookup()])
+        home = catalog.scheme.partition_for_value
+        # The default chooser hashes the first scalar (the item id); training
+        # runs the transaction at the account's partition.  Keep only
+        # requests where the two differ.
+        requests = [
+            (item_id, a_id)
+            for item_id in range(12) for a_id in range(12)
+            if home(item_id) != home(a_id)
+        ]
+        trace = WorkloadTrace([
+            TransactionTraceRecord(
+                txn_id=txn_id,
+                procedure="lookup",
+                parameters=(item_id, a_id),
+                queries=(
+                    QueryTraceRecord("GetAccount", (a_id,)),
+                    QueryTraceRecord("GetItem", (item_id,)),
+                ),
+            )
+            for txn_id, (item_id, a_id) in enumerate(requests)
+        ])
+        chooser = lambda record: home(record.parameters[1])  # noqa: E731
+        models = build_models_from_trace(catalog, trace, base_partition_chooser=chooser)
+        houdini = Houdini(
+            catalog,
+            GlobalModelProvider(models),
+            build_parameter_mappings(catalog, trace),
+            HoudiniConfig(),
+            learning=False,
+        )
+        matched = AccuracyEvaluator(houdini, base_partition_chooser=chooser).evaluate(trace)
+        assert matched.transactions == len(requests)
+        assert matched.op1 == 100.0
+        assert matched.op2 == 100.0
+        # The default chooser reads ITEM at the item's partition, a path the
+        # models never saw: every lock set then looks too small.
+        mismatched = AccuracyEvaluator(houdini).evaluate(trace)
+        assert mismatched.op2 == 0.0
