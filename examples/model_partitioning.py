@@ -37,9 +37,7 @@ def main() -> None:
     print("\n== Feed-forward feature selection for GetUserInfo (Section 5.2) ==")
     # Training places each record's replicated reads at its home partition;
     # the accuracy evaluation below must do the same.
-    base_chooser = lambda record: instance.generator.home_partition(  # noqa: E731
-        ProcedureRequest(record.procedure, record.parameters)
-    )
+    base_chooser = artifacts.base_partition_chooser()
     partitioner = ModelPartitioner(
         instance.catalog,
         artifacts.mappings,
@@ -77,7 +75,7 @@ def main() -> None:
         houdini = Houdini(instance.catalog, model_provider, artifacts.mappings,
                           config, learning=False)
         evaluator = AccuracyEvaluator(
-            houdini, label=label, base_partition_chooser=base_chooser
+            houdini, base_partition_chooser=base_chooser, label=label
         )
         report = evaluator.evaluate(held_out)
         print(f"  {label:12s} {report.as_row()}")

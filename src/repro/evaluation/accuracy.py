@@ -162,12 +162,14 @@ class AccuracyEvaluator:
         self,
         houdini: Houdini,
         *,
+        base_partition_chooser: TraceBaseChooser,
         label: str = "",
-        base_partition_chooser: TraceBaseChooser | None = None,
     ) -> None:
         """``base_partition_chooser`` must be the one the models were trained
-        with: it locates each record's replicated-table reads, so a different
-        chooser judges the estimates against a path the models never saw."""
+        with (``TrainedArtifacts.base_partition_chooser()`` for a session's
+        models): it locates each record's replicated-table reads, so a
+        different chooser judges the estimates against a path the models
+        never saw."""
         if houdini.learning:
             raise ValueError(
                 "accuracy evaluation requires a non-learning Houdini instance "

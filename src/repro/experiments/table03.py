@@ -15,7 +15,6 @@ from .. import pipeline
 from ..evaluation import AccuracyEvaluator, AccuracyReport
 from ..houdini import Houdini, HoudiniConfig
 from ..markov import build_models_from_trace
-from ..types import ProcedureRequest
 from .common import BENCHMARKS, ExperimentScale, format_table
 
 
@@ -60,9 +59,7 @@ def run_table03(scale: ExperimentScale | None = None) -> Table3Result:
         instance = artifacts.benchmark
         training, testing = artifacts.trace.halves()
         testing = type(testing)(testing.records[: scale.accuracy_test_transactions])
-        base_chooser = lambda record: instance.generator.home_partition(  # noqa: E731
-            ProcedureRequest(record.procedure, record.parameters)
-        )
+        base_chooser = artifacts.base_partition_chooser()
         global_models = build_models_from_trace(
             instance.catalog, training, base_partition_chooser=base_chooser
         )
@@ -87,7 +84,7 @@ def run_table03(scale: ExperimentScale | None = None) -> Table3Result:
                 instance.catalog, provider, artifacts.mappings, config, learning=False
             )
             evaluator = AccuracyEvaluator(
-                houdini, label=f"{benchmark}:{label}", base_partition_chooser=base_chooser
+                houdini, base_partition_chooser=base_chooser, label=f"{benchmark}:{label}"
             )
             result.reports[benchmark][label] = evaluator.evaluate(testing)
     return result

@@ -143,9 +143,8 @@ def _tally(records: Sequence[TransactionTraceRecord]) -> dict[tuple, int]:
             else:
                 scalars |= 1 << proc_index
                 _index_value(scalar_index, 1 << proc_index, value)
-        scalar_fast = _fast_table(scalar_index)
         # Element indexes by invocation counter, built on first use.
-        element_indexes: dict[int, tuple[int, _ValueIndex, dict | None]] = {}
+        element_indexes: dict[int, tuple[int, _ValueIndex]] = {}
         counters: dict[str, int] = {}
         for query in record.queries:
             statement = query.statement
@@ -156,28 +155,12 @@ def _tally(records: Sequence[TransactionTraceRecord]) -> dict[tuple, int]:
                 position = element_indexes.get(counter)
                 if position is None:
                     position = element_indexes[counter] = _element_index(arrays, counter)
-                live, element_index, element_fast = position
+                live, element_index = position
             for slot, value in enumerate(query.parameters):
                 if isinstance(value, (list, tuple)):
                     continue
-                # The common case, a hashable non-boolean value looked up in
-                # an index that needs no by-hand comparison, is inlined.
-                if scalar_fast is None or value.__class__ is bool:
-                    scalar_matches = _matches(scalar_index, value)
-                else:
-                    try:
-                        scalar_matches = scalar_fast.get(value, 0)
-                    except TypeError:
-                        scalar_matches = _matches(scalar_index, value)
-                if not live:
-                    array_matches = 0
-                elif element_fast is None or value.__class__ is bool:
-                    array_matches = _matches(element_index, value)
-                else:
-                    try:
-                        array_matches = element_fast.get(value, 0)
-                    except TypeError:
-                        array_matches = _matches(element_index, value)
+                scalar_matches = _matches(scalar_index, value)
+                array_matches = _matches(element_index, value) if live else 0
                 key = (statement, slot, counter, scalars, scalar_matches, live, array_matches)
                 tally[key] = tally.get(key, 0) + 1
     return tally
@@ -200,14 +183,9 @@ def _index_value(index: _ValueIndex, bit: int, value: Any) -> None:
     by_hand.append((bit, value))
 
 
-def _fast_table(index: _ValueIndex) -> dict[Any, int] | None:
-    """The plain-value table when it alone answers non-boolean lookups."""
-    return None if index[2] else index[0]
-
-
 def _element_index(
     arrays: list[tuple[int, Sequence]], counter: int
-) -> tuple[int, _ValueIndex, dict[Any, int] | None]:
+) -> tuple[int, _ValueIndex]:
     """Live-array mask and element index of the arrays at one position."""
     live = 0
     index = _new_index()
@@ -215,7 +193,7 @@ def _element_index(
         if counter < len(array):
             live |= bit
             _index_value(index, bit, array[counter])
-    return live, index, _fast_table(index)
+    return live, index
 
 
 def _matches(index: _ValueIndex, value: Any) -> int:

@@ -394,18 +394,6 @@ class MarkovModel:
         return vertex
 
     def _add_edge_visit(self, source: VertexKey, target: VertexKey, count: int = 1) -> Edge:
-        edge = self._count_edge_visit(source, target, count)
-        # The source's outgoing distribution changed: drop its precomputed
-        # successor arrays and remember it for the next (incremental)
-        # probability recomputation.
-        self._drop_successor_caches(source)
-        if self._dirty is not None:
-            self._dirty.add(source)
-        return edge
-
-    def _count_edge_visit(self, source: VertexKey, target: VertexKey, count: int = 1) -> Edge:
-        """Count an edge visit without touching the successor caches or the
-        dirty set (see :meth:`_add_edge_visit`)."""
         targets = self._edges.setdefault(source, {})
         edge = targets.get(target)
         if edge is None:
@@ -416,7 +404,13 @@ class MarkovModel:
             # stays 0.0 until the next processing pass, but it already
             # participates in candidate pools), so memoized walks must go.
             self.version += 1
-        edge.hits += count
+        edge.record_visit(count)
+        # The source's outgoing distribution changed: drop its precomputed
+        # successor arrays and remember it for the next (incremental)
+        # probability recomputation.
+        self._drop_successor_caches(source)
+        if self._dirty is not None:
+            self._dirty.add(source)
         return edge
 
     def _drop_successor_caches(self, source: VertexKey) -> None:
@@ -438,14 +432,6 @@ class MarkovModel:
         Returns the list of vertex keys visited (begin ... terminal), which
         callers can reuse for accuracy bookkeeping.
         """
-        # A model that was never processed has no dirty set to grow, and
-        # unless a successor read filled a cache entry (which also fills
-        # ``_sorted_successors``) it has no cache entry to drop either: the
-        # construction phase then only counts visits.
-        if self._dirty is None and not self._sorted_successors:
-            add_edge_visit = self._count_edge_visit
-        else:
-            add_edge_visit = self._add_edge_visit
         current = BEGIN_KEY
         self._vertices[current].hits += 1
         visited = [current]
@@ -453,12 +439,12 @@ class MarkovModel:
             key = step.key()
             vertex = self._add_vertex(key, step.query_type)
             vertex.hits += 1
-            add_edge_visit(current, key)
+            self._add_edge_visit(current, key)
             visited.append(key)
             current = key
         terminal = ABORT_KEY if aborted else COMMIT_KEY
         self._vertices[terminal].hits += 1
-        add_edge_visit(current, terminal)
+        self._add_edge_visit(current, terminal)
         visited.append(terminal)
         self.transactions_observed += 1
         self._processed = False

@@ -168,3 +168,6 @@ class Edge:
     target: VertexKey
     hits: int = 0
     probability: float = 0.0
+
+    def record_visit(self, count: int = 1) -> None:
+        self.hits += count

@@ -108,6 +108,7 @@ from .houdini import GlobalModelProvider, Houdini, HoudiniConfig
 from .houdini.providers import ModelProvider
 from .mapping import ParameterMappingSet, build_parameter_mappings
 from .markov import MarkovModel, build_models_from_trace
+from .markov.builder import TraceBaseChooser
 from .modelpart import ModelPartitioner, PartitionedModelProvider, PartitionerConfig
 from .scheduling.admission import AdmissionLimits
 from .scheduling.policies import SchedulingPolicy, available_policies
@@ -163,6 +164,10 @@ class TrainedArtifacts:
 
     def global_provider(self) -> GlobalModelProvider:
         return GlobalModelProvider(self.models)
+
+    def base_partition_chooser(self) -> TraceBaseChooser:
+        """The chooser the models were trained with (see :func:`trace_base_chooser`)."""
+        return trace_base_chooser(self.benchmark)
 
 
 # ----------------------------------------------------------------------
@@ -526,6 +531,16 @@ def record_trace(instance: BenchmarkInstance, transactions: int) -> WorkloadTrac
     return recorder.record(instance.generator.generate(transactions))
 
 
+def trace_base_chooser(instance: BenchmarkInstance) -> TraceBaseChooser:
+    """Base partition of a trace record: its request's home partition, as
+    the recorder placed it.  Training uses it, and anything that rebuilds a
+    record's path to compare with the trained models must use it too."""
+    home_partition = instance.generator.home_partition
+    return lambda record: home_partition(
+        ProcedureRequest(record.procedure, record.parameters)
+    )
+
+
 def train(spec: ClusterSpec) -> TrainedArtifacts:
     """Derive the off-line artifacts (Fig. 6) for a cluster specification.
 
@@ -543,11 +558,7 @@ def train(spec: ClusterSpec) -> TrainedArtifacts:
     )
     trace = record_trace(instance, spec.trace_transactions)
     models = build_models_from_trace(
-        instance.catalog,
-        trace,
-        base_partition_chooser=lambda record: instance.generator.home_partition(
-            ProcedureRequest(record.procedure, record.parameters)
-        ),
+        instance.catalog, trace, base_partition_chooser=trace_base_chooser(instance)
     )
     mappings = build_parameter_mappings(instance.catalog, trace)
     return TrainedArtifacts(
@@ -605,9 +616,7 @@ def build_partitioned_provider(
             disabled_procedures=instance.bundle.houdini_disabled_procedures
         ),
         config=config,
-        base_partition_chooser=lambda record: instance.generator.home_partition(
-            ProcedureRequest(record.procedure, record.parameters)
-        ),
+        base_partition_chooser=artifacts.base_partition_chooser(),
     )
     return partitioner.build_provider(artifacts.trace, dict(artifacts.models))
 

@@ -48,10 +48,16 @@ class TestAccuracyEvaluator:
             learning=True,
         )
         with pytest.raises(ValueError):
-            AccuracyEvaluator(houdini)
+            AccuracyEvaluator(
+                houdini, base_partition_chooser=tpcc_artifacts.base_partition_chooser()
+            )
 
     def test_report_on_training_trace_is_strong(self, tpcc_houdini, tpcc_artifacts):
-        evaluator = AccuracyEvaluator(tpcc_houdini, label="train")
+        evaluator = AccuracyEvaluator(
+            tpcc_houdini,
+            base_partition_chooser=tpcc_artifacts.base_partition_chooser(),
+            label="train",
+        )
         report = evaluator.evaluate(tpcc_artifacts.trace)
         assert report.transactions == len(tpcc_artifacts.trace)
         # On the data the models were trained from, accuracy must be high.
@@ -62,7 +68,9 @@ class TestAccuracyEvaluator:
         assert set(row) == {"OP1", "OP2", "OP3", "OP4", "Total"}
 
     def test_per_procedure_breakdown(self, tpcc_houdini, tpcc_artifacts):
-        evaluator = AccuracyEvaluator(tpcc_houdini)
+        evaluator = AccuracyEvaluator(
+            tpcc_houdini, base_partition_chooser=tpcc_artifacts.base_partition_chooser()
+        )
         report = evaluator.evaluate(tpcc_artifacts.trace)
         assert "neworder" in report.procedures
         neworder = report.procedures["neworder"]
@@ -71,7 +79,9 @@ class TestAccuracyEvaluator:
 
     def test_held_out_accuracy_reasonable(self, tpcc_houdini, tpcc_artifacts):
         held_out = pipeline.record_trace(tpcc_artifacts.benchmark, 150)
-        report = AccuracyEvaluator(tpcc_houdini).evaluate(held_out)
+        report = AccuracyEvaluator(
+            tpcc_houdini, base_partition_chooser=tpcc_artifacts.base_partition_chooser()
+        ).evaluate(held_out)
         # The paper reports ~91-95% total accuracy; the scaled-down
         # reproduction should stay in the same neighbourhood.
         assert report.total > 60.0
@@ -146,7 +156,9 @@ class TestBasePartitionChooser:
         assert matched.transactions == len(requests)
         assert matched.op1 == 100.0
         assert matched.op2 == 100.0
-        # The default chooser reads ITEM at the item's partition, a path the
-        # models never saw: every lock set then looks too small.
-        mismatched = AccuracyEvaluator(houdini).evaluate(trace)
+        # Choosing by the first parameter reads ITEM at the item's partition,
+        # a path the models never saw: every lock set then looks too small.
+        mismatched = AccuracyEvaluator(
+            houdini, base_partition_chooser=lambda record: home(record.parameters[0])
+        ).evaluate(trace)
         assert mismatched.op2 == 0.0

@@ -53,7 +53,9 @@ class TestFullPipeline:
             learning=False,
         )
         held_out = pipeline.record_trace(artifacts.benchmark, 200)
-        report = AccuracyEvaluator(houdini).evaluate(held_out)
+        report = AccuracyEvaluator(
+            houdini, base_partition_chooser=artifacts.base_partition_chooser()
+        ).evaluate(held_out)
         # The abort optimization must never be mispredicted (paper §6.2).
         assert report.op3 == 100.0
         assert report.total > 60.0
